@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lint-stats benchguard race e2e fuzz-smoke crash check bench bench-ingest bench-checkpoint bench-shard bench-prefilter bench-search bench-serve bench-all
+.PHONY: all build test vet fmtcheck lint lint-stats benchguard race e2e fuzz-smoke crash bench-module check bench bench-ingest bench-checkpoint bench-shard bench-prefilter bench-search bench-serve bench-all
 
 all: check
 
@@ -80,7 +80,15 @@ fuzz-smoke:
 crash:
 	$(GO) test -run 'TestCrash|TestSaveCrash' -count 1 -v .
 
-check: vet fmtcheck lint-stats benchguard race e2e fuzz-smoke crash
+# bench-module vets and short-tests bench/, the benchmark harness
+# BENCHMARK.json runs. It is its own Go module (so `go build ./...` and
+# `go test ./...` at the root never compile it) but links against this
+# module's packages, internal ones included — a rename here can break it
+# silently unless check builds it.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+check: vet fmtcheck lint-stats benchguard race e2e fuzz-smoke crash bench-module
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ ./...

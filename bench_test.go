@@ -478,13 +478,19 @@ func BenchmarkSearchBatch(b *testing.B) {
 		queries[i] = dataset.QuerySummary(&sums[rng.Intn(len(sums))], 30_000_000+i, 0.01, rng)
 	}
 	for _, par := range []int{1, 2, 4, 8} {
-		ix, err := index.Build(sums, index.Options{Epsilon: 0.3, SearchParallelism: par})
-		if err != nil {
-			b.Fatal(err)
+		db := New(Options{Epsilon: 0.3, SearchParallelism: par})
+		for i := range sums {
+			if err := db.AddSummary(sums[i]); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.Run(fmtF("par=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, item := range ix.SearchBatch(queries, 50, index.Composed) {
+				items, err := db.SearchBatch(queries, 50, Composed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, item := range items {
 					if item.Err != nil {
 						b.Fatal(item.Err)
 					}

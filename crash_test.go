@@ -120,7 +120,7 @@ func runCrashWorkloadOpts(t *testing.T, rec *crashfs.Recorder, steps []wlStep, d
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	db.testDropRetainedSuffix = dropRetain
+	db.shards[0].testDropRetainedSuffix = dropRetain
 	// applyHook runs one hook-injected mutation inside a checkpoint's
 	// unlocked window. Each is its own acknowledged call whose op-log
 	// span nests inside the checkpoint's span.
@@ -149,14 +149,14 @@ func runCrashWorkloadOpts(t *testing.T, rec *crashfs.Recorder, steps []wlStep, d
 		case st.checkpoint:
 			var hookCalls []ackedCall
 			if len(st.preWrite) > 0 {
-				db.testBeforeSnapshotWrite = func() {
+				db.shards[0].testBeforeSnapshotWrite = func() {
 					for _, id := range st.preWrite {
 						hookCalls = append(hookCalls, applyHook(id))
 					}
 				}
 			}
 			if len(st.preRotate) > 0 {
-				db.testBeforeRotate = func() {
+				db.shards[0].testBeforeRotate = func() {
 					for _, id := range st.preRotate {
 						hookCalls = append(hookCalls, applyHook(id))
 					}
@@ -165,7 +165,7 @@ func runCrashWorkloadOpts(t *testing.T, rec *crashfs.Recorder, steps []wlStep, d
 			if err := db.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
-			db.testBeforeSnapshotWrite, db.testBeforeRotate = nil, nil
+			db.shards[0].testBeforeSnapshotWrite, db.shards[0].testBeforeRotate = nil, nil
 			// The checkpoint's own (op-free) call is recorded at the end
 			// of the loop body like every step; the nested hook calls
 			// carry the in-flight mutations. acceptable() matches calls
@@ -466,13 +466,13 @@ func TestCheckpointEquivalence(t *testing.T) {
 		}
 		preWrite, preRotate := []int{11, 12, 13, -2}, []int{14, -11}
 		if concurrent {
-			db.testBeforeSnapshotWrite = func() { mid(preWrite) }
-			db.testBeforeRotate = func() { mid(preRotate) }
+			db.shards[0].testBeforeSnapshotWrite = func() { mid(preWrite) }
+			db.shards[0].testBeforeRotate = func() { mid(preRotate) }
 		}
 		if err := db.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint (concurrent=%v): %v", concurrent, err)
 		}
-		db.testBeforeSnapshotWrite, db.testBeforeRotate = nil, nil
+		db.shards[0].testBeforeSnapshotWrite, db.shards[0].testBeforeRotate = nil, nil
 		if !concurrent {
 			// The blocking path: the same mutations, after the fold.
 			mid(preWrite)

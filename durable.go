@@ -13,11 +13,11 @@ import (
 	"vitri/internal/vfs"
 )
 
-// Durability: a durable DB pairs an atomic snapshot with an append-only
-// delta journal, so a power cut at any write boundary loses nothing that
-// was acknowledged.
+// Durability: every shard of a durable DB pairs an atomic snapshot with
+// an append-only delta journal in its own directory (shardDir), so a
+// power cut at any write boundary loses nothing that was acknowledged.
 //
-//   - The snapshot (<dir>/snapshot.vitri, store format v2) is only ever
+//   - The snapshot (<dir>/snapshot.vitri, store format v3) is only ever
 //     replaced via temp-file + fsync + rename + directory sync; the
 //     previous snapshot is never damaged.
 //   - Every Add/Remove/AddBatch appends a checksummed record to the
@@ -59,33 +59,59 @@ type DurableOptions struct {
 	keepCorruptTail bool
 }
 
-// durableState is the open journal plus snapshot bookkeeping.
+// durableState is one shard's open journal plus snapshot bookkeeping.
 type durableState struct {
 	fs       vfs.FS          // immutable after OpenDurable
-	dir      string          // immutable after OpenDurable
 	snapPath string          // immutable after OpenDurable
 	wal      *journal.Writer // immutable after OpenDurable; internally synchronized
 	// snapLastSeq is the journal seq folded into the on-disk snapshot.
-	// guarded by db.mu
+	// guarded by engine.mu
 	snapLastSeq uint64
-	snapVersion uint32 // on-disk snapshot format (0 = none). guarded by db.mu
+	snapVersion uint32 // on-disk snapshot format (0 = none). guarded by engine.mu
+}
+
+// storeState is a durable DB's router-level bookkeeping. The snapshot +
+// journal state lives in each shard's own durableState; the router owns
+// only the manifest — a multi-shard store's commit record — and the
+// checkpoint count.
+type storeState struct {
+	fs  vfs.FS // immutable after OpenDurable
+	dir string // immutable after OpenDurable
+	// manifestPath is empty on a one-shard store, which has no manifest.
+	manifestPath string // immutable after OpenDurable
+	// epoch mirrors the committed manifest's checkpoint epoch.
+	// guarded by db.ckptMu
+	epoch       uint64
 	checkpoints atomic.Uint64
 }
 
+// shardDir maps shard i of an n-shard store rooted at dir to its
+// directory — the one place the on-disk layout is chosen. A one-shard
+// store's shard directory is the root itself, so the flat snapshot +
+// journal layout of earlier versions is exactly the n = 1 case; it
+// carries no manifest because there is no cross-shard cut to commit and
+// nothing recovery would read from one.
+func shardDir(dir string, i, n int) string {
+	if n == 1 {
+		return dir
+	}
+	return filepath.Join(dir, shard.DirName(i))
+}
+
 // OpenDurable opens (creating if needed) a durable database in dir:
-// the snapshot is loaded and checksum-verified, the journal is replayed
-// on top of it, and any torn journal tail is truncated. opts.Epsilon
-// must match a non-empty store's epsilon (or be zero to adopt it), the
-// same contract as Load. The returned DB persists every mutation; see
-// Checkpoint for folding the journal down.
+// each shard's snapshot is loaded and checksum-verified, its journal is
+// replayed on top of it, and any torn journal tail is truncated.
+// opts.Epsilon must match a non-empty store's epsilon (or be zero to
+// adopt it), the same contract as Load. The returned DB persists every
+// mutation; see Checkpoint for folding the journals down.
 //
 // With opts.Shards > 1 a fresh directory becomes a sharded store: a
 // manifest records the shard count and each shard keeps its own snapshot
-// + journal in a subdirectory. An existing store's layout wins — its
-// manifest (or its absence, for the classic flat layout) decides, and
-// opts.Shards must agree with it or be 0 to adopt. A flat store can
-// never be reopened sharded or vice versa; the shard count is fixed at
-// creation because routing is baked into which journal holds which video.
+// + journal in a subdirectory. A store of one shard keeps them in dir
+// itself and has no manifest. An existing store's layout wins — its
+// manifest (or its absence) decides, and opts.Shards must agree with it
+// or be 0 to adopt. The shard count is fixed at creation because routing
+// is baked into which journal holds which video.
 func OpenDurable(dir string, opts Options) (*DB, error) {
 	d := DurableOptions{Dir: dir}
 	if opts.Durable != nil {
@@ -96,38 +122,66 @@ func OpenDurable(dir string, opts Options) (*DB, error) {
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
+	d.FS = fsys
+	opts.Durable = &d
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vitri: open durable: %w", err)
 	}
+	st := &storeState{fs: fsys, dir: dir}
 	manPath := filepath.Join(dir, shard.ManifestFile)
 	//lint:ignore droppederr best-effort cleanup of a never-read temp file
 	fsys.Remove(manPath + ".tmp")
+	n := max(opts.Shards, 1)
 	man, merr := shard.ReadManifest(fsys, manPath)
 	switch {
 	case merr == nil:
 		if opts.Shards > 1 && opts.Shards != man.Shards {
 			return nil, fmt.Errorf("vitri: open durable: store has %d shards; Options.Shards requests %d (pass 0 to adopt)", man.Shards, opts.Shards)
 		}
-		return openDurableSharded(dir, man, fsys, d, opts)
-	case storefmt.IsNotExist(merr):
-		if opts.Shards > 1 {
-			if flatStoreExists(fsys, dir) {
-				return nil, fmt.Errorf("vitri: open durable: %s holds a single-shard store, which cannot be reopened with Options.Shards = %d", dir, opts.Shards)
-			}
-			fresh := &shard.Manifest{Shards: opts.Shards, Cuts: make([]uint64, opts.Shards)}
-			if err := shard.WriteManifest(fsys, manPath, fresh); err != nil {
-				return nil, fmt.Errorf("vitri: open durable: manifest: %w", err)
-			}
-			return openDurableSharded(dir, fresh, fsys, d, opts)
+		if man.Shards < 2 {
+			return nil, fmt.Errorf("vitri: open durable: manifest shard count %d (a store with a manifest has at least 2)", man.Shards)
 		}
-		return openDurableFlat(dir, fsys, d, opts)
-	default:
+		n, st.epoch, st.manifestPath = man.Shards, man.Epoch, manPath
+	case !storefmt.IsNotExist(merr):
 		return nil, fmt.Errorf("vitri: open durable: %w", merr)
+	case n > 1:
+		// No manifest yet: a store of more than one shard starts by
+		// committing one, unless dir already holds a one-shard store.
+		if flatStoreExists(fsys, dir) {
+			return nil, fmt.Errorf("vitri: open durable: %s holds a single-shard store, which cannot be reopened with Options.Shards = %d", dir, n)
+		}
+		fresh := &shard.Manifest{Shards: n, Cuts: make([]uint64, n)}
+		if err := shard.WriteManifest(fsys, manPath, fresh); err != nil {
+			return nil, fmt.Errorf("vitri: open durable: manifest: %w", err)
+		}
+		st.manifestPath = manPath
 	}
+	opts.Shards = n
+
+	db := &DB{store: st}
+	for i := 0; i < n; i++ {
+		// Later shards must agree with the epsilon the first shard resolved
+		// (possibly adopted from its snapshot); each shard's own open
+		// enforces the match, turning divergence into an error.
+		e, err := openEngine(shardDir(dir, i, n), opts)
+		if err == nil {
+			db.shards = append(db.shards, e)
+			opts.Epsilon = e.opts.Epsilon
+			// Every recovered video must still route to the shard holding it.
+			err = e.checkRouting(i, n)
+		}
+		if err != nil {
+			//lint:ignore droppederr open failed; best-effort release of the shards already opened
+			db.Close()
+			return nil, err
+		}
+	}
+	db.opts = opts
+	return db, nil
 }
 
-// flatStoreExists reports whether dir already holds a classic
-// single-shard snapshot or journal.
+// flatStoreExists reports whether dir already holds a one-shard store's
+// snapshot or journal.
 func flatStoreExists(fsys vfs.FS, dir string) bool {
 	for _, name := range []string{snapshotFile, journalFile} {
 		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
@@ -137,9 +191,15 @@ func flatStoreExists(fsys vfs.FS, dir string) bool {
 	return false
 }
 
-// openDurableFlat opens the classic single-shard snapshot + journal
-// layout in dir.
-func openDurableFlat(dir string, fsys vfs.FS, d DurableOptions, opts Options) (*DB, error) {
+// openEngine opens one shard: a complete snapshot + journal store in its
+// own directory, recovered independently (own snapshot, own journal
+// replay, own torn-tail handling). opts.Durable carries the resolved
+// filesystem.
+func openEngine(dir string, opts Options) (*engine, error) {
+	fsys, keepCorruptTail := opts.Durable.FS, opts.Durable.keepCorruptTail
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("vitri: open durable: %w", err)
+	}
 	snapPath := filepath.Join(dir, snapshotFile)
 	walPath := filepath.Join(dir, journalFile)
 	// A crash can leave stale temp files behind; they are dead weight
@@ -161,7 +221,7 @@ func openDurableFlat(dir string, fsys vfs.FS, d DurableOptions, opts Options) (*
 	var snapVersion uint32
 	if snap != nil {
 		if opts.Epsilon != 0 && opts.Epsilon != snap.Epsilon {
-			return nil, fmt.Errorf("vitri: open durable: store epsilon %v conflicts with requested %v", snap.Epsilon, opts.Epsilon)
+			return nil, fmt.Errorf("vitri: open durable %s: store epsilon %v conflicts with requested %v", snapPath, snap.Epsilon, opts.Epsilon)
 		}
 		opts.Epsilon = snap.Epsilon
 		lastSeq = snap.LastSeq
@@ -180,173 +240,151 @@ func openDurableFlat(dir string, fsys vfs.FS, d DurableOptions, opts Options) (*
 		}
 		snapVersion = storefmt.Version3
 	}
-	opts.Durable = &d
-	db := New(opts)
+	e := newEngine(opts)
+
+	// Load the snapshot, then replay the journal over it. Records the
+	// snapshot already folded in are skipped by sequence number; duplicate
+	// adds and missing removes are tolerated (they can only arise from the
+	// benign crash window between snapshot rename and journal rotation).
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if snap != nil {
-		db.mu.Lock()
 		for i := range snap.Summaries {
-			if err := db.addSummaryLocked(snap.Summaries[i]); err != nil {
-				db.mu.Unlock()
-				return nil, fmt.Errorf("vitri: open durable: snapshot: %w", err)
+			if err := e.addSummaryLocked(snap.Summaries[i]); err != nil {
+				return nil, fmt.Errorf("vitri: open durable %s: %w", snapPath, err)
 			}
 		}
-		db.mu.Unlock()
 	}
-
-	// Replay the journal over the snapshot. Records the snapshot already
-	// folded in are skipped by sequence number; duplicate adds and
-	// missing removes are tolerated (they can only arise from the benign
-	// crash window between snapshot rename and journal rotation).
-	db.mu.Lock()
-	//lint:ignore lockorder open-time replay: the DB is unpublished, so no waiter exists for the journal's recovery fsync to stall
+	//lint:ignore lockorder open-time replay: the engine is unpublished, so no waiter exists for the journal's recovery fsync to stall
 	wal, err := journal.Open(fsys, walPath, journal.Config{
 		StartSeq:        lastSeq + 1,
-		KeepCorruptTail: d.keepCorruptTail,
-	}, func(e journal.Entry) error {
-		if e.Seq <= lastSeq {
+		KeepCorruptTail: keepCorruptTail,
+	}, func(ent journal.Entry) error {
+		if ent.Seq <= lastSeq {
 			return nil
 		}
-		switch e.Kind {
+		switch ent.Kind {
 		case journal.KindAdd:
-			if aerr := db.addSummaryLocked(e.Summary); aerr != nil && !errors.Is(aerr, ErrDuplicateID) {
+			if aerr := e.addSummaryLocked(ent.Summary); aerr != nil && !errors.Is(aerr, ErrDuplicateID) {
 				return aerr
 			}
 		case journal.KindRemove:
-			if rerr := db.removeLocked(e.VideoID); rerr != nil && !errors.Is(rerr, ErrNotFound) {
+			if rerr := e.removeLocked(ent.VideoID); rerr != nil && !errors.Is(rerr, ErrNotFound) {
 				return rerr
 			}
 		}
 		return nil
 	})
-	db.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("vitri: open durable %s: %w", walPath, err)
 	}
-	db.mu.Lock()
-	db.dur = &durableState{
+	e.dur = &durableState{
 		fs:          fsys,
-		dir:         dir,
 		snapPath:    snapPath,
 		wal:         wal,
 		snapLastSeq: lastSeq,
 		snapVersion: snapVersion,
 	}
-	db.mu.Unlock()
-	return db, nil
+	return e, nil
 }
 
-// openDurableSharded opens a sharded store: each shard is a complete
-// flat durable store in its own subdirectory, recovered independently
-// (own snapshot, own journal replay, own torn-tail handling), and the
-// router wraps them with the manifest bookkeeping. Recovery then
-// verifies every recovered video still routes to the shard holding it.
-func openDurableSharded(dir string, man *shard.Manifest, fsys vfs.FS, d DurableOptions, opts Options) (*DB, error) {
-	n := man.Shards
-	if n < 2 {
-		return nil, fmt.Errorf("vitri: open durable: manifest shard count %d (a sharded store has at least 2)", n)
-	}
-	children := make([]*DB, 0, n)
-	closeAll := func() {
-		for _, sh := range children {
-			//lint:ignore droppederr open failed; best-effort release of the shards already opened
-			sh.Close()
-		}
-	}
-	copts := opts
-	copts.Shards = 0
-	for i := 0; i < n; i++ {
-		cd := d
-		cd.FS = fsys
-		co := copts
-		co.Durable = &cd
-		sh, err := OpenDurable(filepath.Join(dir, shard.DirName(i)), co)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("vitri: open durable shard %d: %w", i, err)
-		}
-		children = append(children, sh)
-		// Later shards must agree with the epsilon the first shard
-		// resolved (possibly adopted from its snapshot); each shard's own
-		// open enforces the match, turning divergence into an error.
-		copts.Epsilon = sh.opts.Epsilon
-	}
-	for i, sh := range children {
-		if err := sh.checkRouting(i, n); err != nil {
-			closeAll()
-			return nil, err
-		}
-	}
-	popts := opts
-	popts.Epsilon = copts.Epsilon
-	popts.Shards = n
-	return &DB{
-		opts: popts,
-		sub:  children,
-		shdur: &shardDur{
-			fs:           fsys,
-			dir:          dir,
-			manifestPath: filepath.Join(dir, shard.ManifestFile),
-			epoch:        man.Epoch,
-		},
-	}, nil
-}
-
-// Durable reports whether the database persists mutations.
+// Durable reports whether the database persists mutations: true from
+// OpenDurable until Close.
 func (db *DB) Durable() bool {
-	if db.sub != nil {
-		return db.shdur != nil
+	for _, e := range db.shards {
+		if e.durable() {
+			return true
+		}
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.dur != nil
+	return false
 }
 
-// Checkpoint folds the journal into a fresh snapshot without stopping
-// the world. The protocol is two-phase:
+// durable reports whether this shard still has its journal open.
+func (e *engine) durable() bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.dur != nil
+}
+
+// Checkpoint folds the journals into fresh snapshots without stopping
+// the world. There is one protocol at every shard count:
 //
-//  1. Capture — a short db.mu read hold pins a consistent cut: the
-//     store's summaries plus the journal's position (journal.Cut) taken
-//     under the same hold. Mutators (which need the write lock) are
-//     excluded only for this copy, proportional to store size in memory,
-//     not to any disk work.
-//  2. Write + rotate — entirely outside db.mu: the captured summaries
-//     are encoded and atomically renamed into place as a v2 snapshot
-//     (the old snapshot survives any crash), then the journal is rotated
-//     with journal.Writer.RotateRetain, which preserves byte-for-byte
-//     every record mutators appended after the cut (seq > cut.LastSeq).
-//     A brief db.mu re-acquire publishes the new snapshot bookkeeping.
+//  1. Capture — every shard's (summaries, journal cut) pair is pinned
+//     under ONE exclusive view-lock hold, each under a short read hold of
+//     that shard's engine.mu. Mutations hold the view lock shared for
+//     their whole apply window, so the per-shard cuts form a single
+//     consistent cross-shard cut: no batch is captured on some shards and
+//     missed on others. Mutators are excluded only for this copy,
+//     proportional to store size in memory, not to any disk work.
+//  2. Commit — per shard, in shard order, entirely outside the locks: the
+//     captured summaries are encoded and atomically renamed into place
+//     as a v3 snapshot (the old snapshot survives any crash), then the
+//     journal is rotated with journal.Writer.RotateRetain, which
+//     preserves byte-for-byte every record mutators appended after the
+//     cut (seq > cut.LastSeq). A brief engine.mu re-acquire publishes the
+//     new snapshot bookkeeping. Sequential order keeps the crash suite's
+//     write-boundary enumeration deterministic; the disk work is already
+//     pipelined against mutations, which is where non-blocking matters.
+//  3. Manifest — when the store has one (more than one shard), the new
+//     per-shard cut sequences and the advanced epoch replace it via temp
+//     file + fsync + rename + dir sync. This rename is the cross-shard
+//     commit point: a crash anywhere before it leaves the previous
+//     manifest, whose cuts the retained journal suffixes still satisfy; a
+//     crash after it finds every shard's snapshot already in place. A
+//     one-shard store's commit point is its snapshot rename.
 //
 // Concurrent Adds/Removes/Searches proceed during the disk work; they
 // block only on the capture, the suffix copy inside RotateRetain
 // (proportional to mutations since the cut), and the finish. ckptMu
-// serializes overlapping Checkpoint calls. Opening a v1 legacy store
-// durably upgrades it to v2 here. Recovery cost and journal size are
+// serializes overlapping Checkpoint calls. Opening a v1/v2 legacy store
+// durably upgrades it to v3 here. Recovery cost and journal size are
 // proportional to operations since the last checkpoint, so long-running
 // services checkpoint periodically (vitriserve's -checkpoint-every).
-//
-// On a sharded database the same two phases run per shard — every
-// capture under one exclusive view-lock hold, so the per-shard cuts form
-// a single consistent cross-shard cut — and a third phase commits the
-// cut by atomically replacing the manifest. See checkpointSharded.
 func (db *DB) Checkpoint() error {
-	if db.sub != nil {
-		return db.checkpointSharded()
-	}
 	// ckptMu is level 0 in the lock hierarchy: always acquired before
-	// db.mu, never while holding it (vitrilint's lockorder enforces
-	// this). Serializing here keeps the capture→rotate window of one
-	// checkpoint from interleaving with another's.
+	// viewMu and engine.mu, never while holding either (vitrilint's
+	// lockorder enforces this). Serializing here keeps the capture→rotate
+	// window of one checkpoint from interleaving with another's.
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	c, err := db.checkpointCapture()
+	caps := make([]*ckptCapture, len(db.shards))
+	db.viewMu.Lock()
+	var err error
+	for i := 0; i < len(db.shards) && err == nil; i++ {
+		caps[i], err = db.shards[i].checkpointCapture()
+	}
+	db.viewMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return db.checkpointCommit(c)
+	cuts := make([]uint64, len(db.shards))
+	for i, e := range db.shards {
+		if err := e.checkpointCommit(caps[i]); err != nil {
+			return err
+		}
+		cuts[i] = caps[i].cut.LastSeq
+	}
+	// A capture only succeeds on an engine OpenDurable wired, so store is
+	// non-nil here.
+	st := db.store
+	if st.manifestPath != "" {
+		man := &shard.Manifest{Shards: len(db.shards), Epoch: st.epoch + 1, Cuts: cuts}
+		if db.testNonAtomicManifest {
+			err = shard.WriteManifestUnsafe(st.fs, st.manifestPath, man)
+		} else {
+			err = shard.WriteManifest(st.fs, st.manifestPath, man)
+		}
+		if err != nil {
+			return fmt.Errorf("vitri: checkpoint: manifest: %w", err)
+		}
+		st.epoch++
+	}
+	st.checkpoints.Add(1)
+	return nil
 }
 
 // ckptCapture is checkpointCapture's output: the consistent (summaries,
-// journal cut) pair pinned under db.mu, encoded as the snapshot to
+// journal cut) pair pinned under engine.mu, encoded as the snapshot to
 // write, plus the durable state it was captured against.
 type ckptCapture struct {
 	dur  *durableState
@@ -354,40 +392,40 @@ type ckptCapture struct {
 	cut  journal.Cut
 }
 
-// checkpointCapture is Checkpoint's phase 1 — capture. A read hold
+// checkpointCapture is Checkpoint's phase 1 on one shard. A read hold
 // suffices: mutators take the write lock, so summaries and cut are a
 // consistent pair, while searches stay unblocked. The summary copies own
 // their memory — later mutations touch the live structures, never these.
-// Callers serialize via ckptMu (a shard router serializes on its own
-// ckptMu; per-shard engines are not independently reachable).
-func (db *DB) checkpointCapture() (*ckptCapture, error) {
-	db.mu.RLock()
-	dur := db.dur
+// ErrNotDurable on an engine with no durable state (never opened durably,
+// or closed).
+func (e *engine) checkpointCapture() (*ckptCapture, error) {
+	e.mu.RLock()
+	dur := e.dur
 	if dur == nil {
-		db.mu.RUnlock()
+		e.mu.RUnlock()
 		return nil, ErrNotDurable
 	}
 	var sums []core.Summary
 	var err error
-	if db.ix == nil {
-		sums = append([]core.Summary(nil), db.pending...)
+	if e.ix == nil {
+		sums = append([]core.Summary(nil), e.pending...)
 	} else {
-		sums, err = db.ix.Summaries()
+		sums, err = e.ix.Summaries()
 	}
 	var cut journal.Cut
 	if err == nil {
 		cut, err = dur.wal.CutPoint()
 	}
-	db.mu.RUnlock()
+	e.mu.RUnlock()
 	if err != nil {
-		return nil, fmt.Errorf("vitri: checkpoint: %w", err)
+		return nil, fmt.Errorf("vitri: checkpoint %s: %w", dur.snapPath, err)
 	}
 	storefmt.SortSummaries(sums)
 	return &ckptCapture{
 		dur: dur,
 		snap: &storefmt.Snapshot{
 			Version:   storefmt.Version3,
-			Epsilon:   db.opts.Epsilon,
+			Epsilon:   e.opts.Epsilon,
 			LastSeq:   cut.LastSeq,
 			Summaries: sums,
 		},
@@ -395,12 +433,12 @@ func (db *DB) checkpointCapture() (*ckptCapture, error) {
 	}, nil
 }
 
-// checkpointCommit is Checkpoint's phase 2 — write and rotate, with
-// mutations in flight, then publish the bookkeeping under a brief write
-// hold.
-func (db *DB) checkpointCommit(c *ckptCapture) error {
+// checkpointCommit is Checkpoint's phase 2 on one shard — write and
+// rotate, with mutations in flight, then publish the bookkeeping under a
+// brief write hold.
+func (e *engine) checkpointCommit(c *ckptCapture) error {
 	dur := c.dur
-	if hook := db.testBeforeSnapshotWrite; hook != nil {
+	if hook := e.testBeforeSnapshotWrite; hook != nil {
 		hook()
 	}
 	// The snapshot's storage syncs take the WAL's fsync slot so they
@@ -409,9 +447,9 @@ func (db *DB) checkpointCommit(c *ckptCapture) error {
 	// filesystem journal and stall acknowledged mutations for tens of
 	// milliseconds. Through the gate, a commit waits at most one chunk.
 	if err := storefmt.WriteSnapshotFileGated(dur.fs, dur.snapPath, c.snap, dur.wal.WithSyncSlot); err != nil {
-		return fmt.Errorf("vitri: checkpoint: %w", err)
+		return fmt.Errorf("vitri: checkpoint %s: %w", dur.snapPath, err)
 	}
-	if hook := db.testBeforeRotate; hook != nil {
+	if hook := e.testBeforeRotate; hook != nil {
 		hook()
 	}
 	// Crash window: snapshot renamed, journal not yet rotated. Harmless —
@@ -421,33 +459,32 @@ func (db *DB) checkpointCommit(c *ckptCapture) error {
 	// copies the post-cut suffix into the replacement journal, so no
 	// acknowledged record is lost however the rotation lands.
 	var err error
-	if db.testDropRetainedSuffix {
+	if e.testDropRetainedSuffix {
 		err = dur.wal.Rotate(c.cut.LastSeq + 1)
 	} else {
 		err = dur.wal.RotateRetain(c.cut)
 	}
 	if err != nil {
-		return fmt.Errorf("vitri: checkpoint: rotate journal: %w", err)
+		return fmt.Errorf("vitri: checkpoint %s: rotate journal: %w", dur.snapPath, err)
 	}
 
 	// Finish — publish the snapshot bookkeeping under a brief write hold.
-	// Close may have swapped db.dur out mid-checkpoint; dur's own fields
-	// are then dead state and the counters don't matter, but never write
-	// through db.dur without re-checking it.
-	db.mu.Lock()
-	if db.dur == dur {
+	// Close may have swapped e.dur out mid-checkpoint; dur's own fields
+	// are then dead state, but never write through e.dur without
+	// re-checking it.
+	e.mu.Lock()
+	if e.dur == dur {
 		dur.snapLastSeq = c.cut.LastSeq
 		dur.snapVersion = storefmt.Version3
 	}
-	db.mu.Unlock()
-	dur.checkpoints.Add(1)
+	e.mu.Unlock()
 	return nil
 }
 
 // DurabilityStats reports the durable store's health for /stats: journal
 // depth (operations not yet checkpointed), bytes, fsync count and
 // latency distribution, and snapshot bookkeeping. The zero value (with
-// Enabled false) is returned for non-durable databases.
+// Enabled false) is returned for non-durable and closed databases.
 type DurabilityStats struct {
 	Enabled bool
 	// Dir is the durable directory.
@@ -463,66 +500,76 @@ type DurabilityStats struct {
 	Journal journal.Stats
 }
 
-// DurabilityStats snapshots the durable store's counters. A sharded
-// database aggregates its shards: counts (journal depth, bytes, fsyncs)
-// and the per-shard sequence spaces (LastSeq, DurableSeq, SnapshotSeq —
-// together the total operations journaled, durable and checkpointed) are
-// summed, fsync latency histograms are merged, SnapshotVersion is the
-// lowest across shards, and Checkpoints counts committed cross-shard
-// checkpoints (manifest replacements).
+// DurabilityStats snapshots the durable store's counters, aggregated over
+// the shards: counts (journal depth, bytes, fsyncs) and the per-shard
+// sequence spaces (LastSeq, DurableSeq, SnapshotSeq — together the total
+// operations journaled, durable and checkpointed) are summed, fsync
+// latency histograms are merged, SnapshotVersion is the lowest across
+// shards, and Checkpoints counts committed checkpoints. The zero value
+// after Close.
 func (db *DB) DurabilityStats() DurabilityStats {
-	if db.sub != nil {
-		return db.durabilityStatsSharded()
+	var agg DurabilityStats
+	for _, e := range db.shards {
+		// Snapshot e.dur once under the lock: Close nils the field under
+		// the write lock, so re-reading it after RUnlock could dereference
+		// nil.
+		e.mu.RLock()
+		dur := e.dur
+		var snapSeq uint64
+		var snapVer uint32
+		if dur != nil {
+			snapSeq = dur.snapLastSeq
+			snapVer = dur.snapVersion
+		}
+		e.mu.RUnlock()
+		if dur == nil {
+			continue
+		}
+		if !agg.Enabled || snapVer < agg.SnapshotVersion {
+			agg.SnapshotVersion = snapVer
+		}
+		agg.Enabled = true
+		agg.SnapshotSeq += snapSeq
+		js := dur.wal.Stats()
+		agg.Journal.Depth += js.Depth
+		agg.Journal.Bytes += js.Bytes
+		agg.Journal.LastSeq += js.LastSeq
+		agg.Journal.DurableSeq += js.DurableSeq
+		agg.Journal.Fsyncs += js.Fsyncs
+		agg.Journal.FsyncLatency = agg.Journal.FsyncLatency.Merge(js.FsyncLatency)
 	}
-	// Snapshot db.dur once under the lock: Close nils the field under the
-	// write lock, so re-reading it after RUnlock could dereference nil.
-	db.mu.RLock()
-	dur := db.dur
-	var snapSeq uint64
-	var snapVer uint32
-	if dur != nil {
-		snapSeq = dur.snapLastSeq
-		snapVer = dur.snapVersion
+	if agg.Enabled {
+		agg.Dir = db.store.dir
+		agg.Checkpoints = db.store.checkpoints.Load()
 	}
-	db.mu.RUnlock()
-	if dur == nil {
-		return DurabilityStats{}
-	}
-	return DurabilityStats{
-		Enabled:         true,
-		Dir:             dur.dir,
-		SnapshotSeq:     snapSeq,
-		SnapshotVersion: snapVer,
-		Checkpoints:     dur.checkpoints.Load(),
-		Journal:         dur.wal.Stats(),
-	}
+	return agg
 }
 
 // journalAddLocked appends an Add record for s. Caller holds the write
 // lock and has already applied s in memory; on append failure the caller
-// rolls the in-memory apply back. Returns 0 on a non-durable DB.
-func (db *DB) journalAddLocked(s *core.Summary) (uint64, error) {
-	if db.dur == nil {
+// rolls the in-memory apply back. Returns 0 on a non-durable engine.
+func (e *engine) journalAddLocked(s *core.Summary) (uint64, error) {
+	if e.dur == nil {
 		return 0, nil
 	}
-	return db.dur.wal.AppendAdd(s)
+	return e.dur.wal.AppendAdd(s)
 }
 
 // journalRemoveLocked appends a Remove record. Caller holds the write
 // lock and appends BEFORE applying: removal has no cheap rollback, and
 // a journaled-but-unapplied remove can only arise from an index-internal
 // failure that already signals corruption.
-func (db *DB) journalRemoveLocked(videoID int) (uint64, error) {
-	if db.dur == nil {
+func (e *engine) journalRemoveLocked(videoID int) (uint64, error) {
+	if e.dur == nil {
 		return 0, nil
 	}
-	return db.dur.wal.AppendRemove(videoID)
+	return e.dur.wal.AppendRemove(videoID)
 }
 
 // commitSeq makes operations up to seq durable (group commit); a no-op
-// on a nil receiver (non-durable database) or seq 0. Mutation paths
-// snapshot db.dur while still holding db.mu and commit on the snapshot
-// after releasing it — re-reading db.dur unsynchronized after unlock
+// on a nil receiver (non-durable engine) or seq 0. Mutation paths
+// snapshot e.dur while still holding e.mu and commit on the snapshot
+// after releasing it — re-reading e.dur unsynchronized after unlock
 // races Close, which nils the field under the write lock.
 func (d *durableState) commitSeq(seq uint64) error {
 	if d == nil || seq == 0 {

@@ -350,6 +350,42 @@ func TestCloseRacesDurabilityAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCloseEndsDurabilityReporting: a closed store no longer persists
+// anything, so Durable() and DurabilityStats().Enabled must drop to false
+// at every shard count — not only on a one-shard store — and a Checkpoint
+// must refuse with ErrNotDurable rather than touch closed journals.
+func TestCloseEndsDurabilityReporting(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		n := n
+		t.Run(shardName(n), func(t *testing.T) {
+			db, err := OpenDurable("db", Options{Epsilon: 0.3, Shards: n, Durable: &DurableOptions{FS: vfs.NewMemFS()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < 6; id++ {
+				if err := db.AddSummary(crashSummary(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !db.Durable() || !db.DurabilityStats().Enabled {
+				t.Fatal("open store does not report itself durable")
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if db.Durable() {
+				t.Error("Durable() still true after Close")
+			}
+			if ds := db.DurabilityStats(); !reflect.DeepEqual(ds, DurabilityStats{}) {
+				t.Errorf("DurabilityStats after Close = %+v, want the zero value", ds)
+			}
+			if err := db.Checkpoint(); !errors.Is(err, ErrNotDurable) {
+				t.Errorf("Checkpoint after Close: %v, want ErrNotDurable", err)
+			}
+		})
+	}
+}
+
 // toggleFailFS fails every file fsync while fail is set.
 type toggleFailFS struct {
 	vfs.FS

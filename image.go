@@ -49,20 +49,7 @@ func (db *DB) SearchImage(frame Vector, k int, mode QueryMode) ([]Match, SearchS
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	if db.sub != nil {
-		return db.scatter(k, true, func(sh *DB) ([]Match, SearchStats, error) {
-			return sh.searchImageP(&q, k, mode, 0)
-		})
-	}
-	return db.searchImageP(&q, k, mode, 0)
-}
-
-// searchImageP runs one image probe on this engine with an explicit
-// intra-query parallelism override (0 = the configured default).
-func (db *DB) searchImageP(q *Summary, k int, mode QueryMode, parallelism int) ([]Match, SearchStats, error) {
-	ix, err := db.index()
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	return ix.SearchImage(q, k, mode, parallelism)
+	return db.scatter(k, true, func(e *engine) ([]Match, SearchStats, error) {
+		return e.searchImage(&q, k, mode)
+	})
 }

@@ -20,8 +20,9 @@ type Video struct {
 // AddBatch summarizes many videos concurrently and adds them to the
 // database in input order. Summarization — the CPU-bound phase — fans out
 // over Options.IngestParallelism workers, each owning a reusable
-// allocation-free clustering scratch; the merge then takes the database
-// lock exactly once and applies every summary in input order.
+// allocation-free clustering scratch; the merge then partitions the
+// summaries by home shard and applies each shard's share in input order
+// under a single hold of that shard's lock.
 //
 // The result is byte-identical to calling Add for each video in the same
 // order, at every parallelism: each video's summary is seeded from
@@ -44,31 +45,7 @@ func (db *DB) AddBatch(videos []Video) ([]error, error) {
 		return nil, nil
 	}
 	summaries, itemErrs := db.summarizeBatch(videos)
-	if db.sub != nil {
-		itemErrs, batchErr := db.addBatchSharded(summaries, itemErrs)
-		db.registerBatchTemporal(videos, summaries, itemErrs)
-		return itemErrs, batchErr
-	}
-	all := make([]int, len(videos))
-	for i := range all {
-		all[i] = i
-	}
-	dur, maxSeq, batchErr := db.applyBatch(summaries, all, itemErrs)
-	if cerr := dur.commitSeq(maxSeq); cerr != nil {
-		// The single group commit covers every journaled item: none of
-		// them is durable, so the failure must surface in each item's
-		// slot, not just the batch-level error — callers inspecting
-		// itemErrs per item would otherwise treat non-durable inserts as
-		// acknowledged.
-		for i := range itemErrs {
-			if itemErrs[i] == nil {
-				itemErrs[i] = cerr
-			}
-		}
-		if batchErr == nil {
-			batchErr = cerr
-		}
-	}
+	itemErrs, batchErr := db.addBatch(summaries, itemErrs)
 	db.registerBatchTemporal(videos, summaries, itemErrs)
 	return itemErrs, batchErr
 }
@@ -88,7 +65,7 @@ func (db *DB) registerBatchTemporal(videos []Video, summaries []core.Summary, it
 // summarizeBatch is AddBatch's CPU-bound phase: one summary per video,
 // computed by the worker pool, with per-item validation errors in the
 // matching itemErrs slots. It touches no database state beyond the
-// immutable options, so a shard router runs it once for all shards.
+// immutable options, so it runs once for all shards.
 func (db *DB) summarizeBatch(videos []Video) ([]core.Summary, []error) {
 	summaries := make([]core.Summary, len(videos))
 	itemErrs := make([]error, len(videos))
@@ -126,59 +103,6 @@ func (db *DB) summarizeBatch(videos []Video) ([]core.Summary, []error) {
 	}
 	wg.Wait()
 	return summaries, itemErrs
-}
-
-// applyBatch is AddBatch's apply phase on one engine: the summaries at
-// indices mine (ascending, preserving input order) are validated,
-// applied and journaled under a single db.mu hold, skipping slots whose
-// itemErrs entry is already set and writing failures into their slots.
-// Returns the commit ticket for the caller's group commit; a shard
-// router calls this concurrently on different shards with disjoint index
-// sets, so the shared slices are written race-free.
-func (db *DB) applyBatch(summaries []core.Summary, mine []int, itemErrs []error) (*durableState, uint64, error) {
-	db.mu.Lock()
-	var maxSeq uint64
-	// A failed journal append poisons the writer: every later append can
-	// only return the same sticky error. Once one item hits it, the
-	// remaining items short-circuit to that error instead of churning
-	// through apply → append → rollback each, which at batch scale is
-	// thousands of pointless index mutations against a store that can no
-	// longer acknowledge anything.
-	var poisoned error
-	for _, i := range mine {
-		if itemErrs[i] != nil {
-			continue
-		}
-		if poisoned != nil {
-			itemErrs[i] = poisoned
-			continue
-		}
-		if itemErrs[i] = db.addSummaryLocked(summaries[i]); itemErrs[i] != nil {
-			continue
-		}
-		// Journal each accepted summary under the batch's single lock
-		// acquisition; one Commit below fsyncs the whole batch (group
-		// commit), so durability costs one fsync per batch, not per video.
-		seq, jerr := db.journalAddLocked(&summaries[i])
-		if jerr != nil {
-			db.rollbackAddLocked(summaries[i].VideoID)
-			itemErrs[i] = jerr
-			// Append failures poison the writer; pick up the sticky error
-			// (ErrPoisoned-wrapped) so the remaining slots report what a
-			// real append attempt would have.
-			if serr := db.dur.wal.Err(); serr != nil {
-				poisoned = serr
-			}
-			continue
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	batchErr := db.maybeRebuildLocked()
-	dur := db.dur // snapshotted under the lock; see commitSeq
-	db.mu.Unlock()
-	return dur, maxSeq, batchErr
 }
 
 // BuildParallel summarizes videos across a worker pool, bulk-loads them

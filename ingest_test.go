@@ -29,8 +29,14 @@ func storeBytes(t *testing.T, db *DB) []byte {
 	if err != nil {
 		t.Fatalf("summaries: %v", err)
 	}
+	return encodeStore(t, db.opts.Epsilon, sums)
+}
+
+// encodeStore renders summaries in the on-disk v1 format.
+func encodeStore(t *testing.T, epsilon float64, sums []Summary) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := writeSummaries(&buf, db.opts.Epsilon, sums); err != nil {
+	if err := writeSummaries(&buf, epsilon, sums); err != nil {
 		t.Fatalf("writeSummaries: %v", err)
 	}
 	return buf.Bytes()

@@ -73,7 +73,11 @@ func ParallelSearch(cfg Config) ([]*metrics.Table, error) {
 		return nil, err
 	}
 	batchTotal, err := timeIt(func() error {
-		for _, item := range ix.SearchBatch(env.queries, cfg.K, index.Composed) {
+		items := index.SearchBatch(len(env.queries), par, func(i int) index.BatchItem {
+			res, stats, err := ix.SearchParallel(&env.queries[i], cfg.K, index.Composed, 1)
+			return index.BatchItem{Results: res, Stats: stats, Err: err}
+		})
+		for _, item := range items {
 			if item.Err != nil {
 				return item.Err
 			}

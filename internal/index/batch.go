@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"vitri/internal/core"
 )
 
 // BatchItem is one query's outcome in a SearchBatch call.
@@ -15,39 +13,33 @@ type BatchItem struct {
 	Err     error
 }
 
-// SearchBatch pipelines many query summaries through a bounded worker
-// pool for throughput workloads: queries[i]'s outcome lands in slot i.
-// The pool is sized by Options.SearchParallelism (GOMAXPROCS when <= 0)
-// and each query runs sequentially inside its worker — inter-query
-// parallelism already saturates the pool, and nesting intra-query fan-out
-// on top would only oversubscribe it. Per-query Stats remain exact: each
-// query accumulates its own counters.
-func (ix *Index) SearchBatch(queries []core.Summary, k int, mode Mode) []BatchItem {
-	out := make([]BatchItem, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	workers := ix.opts.SearchParallelism
+// SearchBatch pipelines n queries through a bounded worker pool for
+// throughput workloads: search(i) runs query i — on one index, or
+// scattered across a database's shards — and its outcome lands in slot
+// i. It is the module's only batch pool. workers <= 0 selects
+// GOMAXPROCS. search must be safe for concurrent use and should run its
+// query sequentially (SearchParallel with parallelism 1): inter-query
+// parallelism already saturates the pool, and nesting intra-query
+// fan-out on top would only oversubscribe it. Per-query Stats remain
+// exact: each query accumulates its own counters.
+func SearchBatch(n, workers int, search func(i int) BatchItem) []BatchItem {
+	out := make([]BatchItem, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var (
-		cursor int64 = -1
-		wg     sync.WaitGroup
-	)
+	workers = min(workers, n)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&cursor, 1))
-				if i >= len(queries) {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				out[i].Results, out[i].Stats, out[i].Err = ix.SearchParallel(&queries[i], k, mode, 1)
+				out[i] = search(i)
 			}
 		}()
 	}

@@ -34,8 +34,7 @@ type Options struct {
 	// FillFactor for bulk loading (btree.DefaultFillFactor when 0).
 	FillFactor float64
 	// SearchParallelism bounds the worker pool a single Search fans its
-	// disjoint range scans across, and the pool SearchBatch pipelines
-	// whole queries through. <= 0 selects GOMAXPROCS; 1 disables
+	// disjoint range scans across. <= 0 selects GOMAXPROCS; 1 disables
 	// intra-query parallelism. Results are identical at every setting.
 	SearchParallelism int
 	// NewPager supplies page stores for the tree — once at build time and

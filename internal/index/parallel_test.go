@@ -147,7 +147,13 @@ func TestSearchBatchMatchesIndividualSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := queriesFor(r, videos, 6)
-	items := ix.SearchBatch(queries, 10, Composed)
+	batch := func(qs []core.Summary) []BatchItem {
+		return SearchBatch(len(qs), 4, func(i int) BatchItem {
+			res, stats, err := ix.SearchParallel(&qs[i], 10, Composed, 1)
+			return BatchItem{Results: res, Stats: stats, Err: err}
+		})
+	}
+	items := batch(queries)
 	if len(items) != len(queries) {
 		t.Fatalf("%d batch items for %d queries", len(items), len(queries))
 	}
@@ -175,11 +181,11 @@ func TestSearchBatchMatchesIndividualSearches(t *testing.T) {
 	bad := make([]core.Summary, 1)
 	bad[0] = queries[0]
 	bad[0].Triplets = []core.ViTri{core.NewViTri(vec.Vector{0.1, 0.2}, 0.05, 3)} // wrong dim
-	items = ix.SearchBatch(bad, 10, Composed)
+	items = batch(bad)
 	if items[0].Err == nil {
 		t.Fatal("dimensionality mismatch did not surface in the batch item")
 	}
-	if empty := ix.SearchBatch(nil, 10, Composed); len(empty) != 0 {
+	if empty := batch(nil); len(empty) != 0 {
 		t.Fatalf("empty batch returned %d items", len(empty))
 	}
 }

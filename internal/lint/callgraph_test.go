@@ -106,7 +106,7 @@ func TestLockFactsSummaries(t *testing.T) {
 	}
 
 	// SyncViaHelper reaches an fsync through flush.
-	sv := lookupFunc(t, g, "lockio.DB.SyncViaHelper")
+	sv := lookupFunc(t, g, "lockio.engine.SyncViaHelper")
 	if facts.fns[sv.Fn].maySync == nil {
 		t.Errorf("SyncViaHelper should have a transitive fsync witness")
 	}

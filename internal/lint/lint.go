@@ -6,7 +6,7 @@
 // It exists to machine-check the three invariants PR 1 documented in
 // prose, which review alone will not keep true as the tree grows:
 //
-//   - the checkpoint → shard-view → DB → Index → Tree → pager lock
+//   - the checkpoint → shard-view → engine → Index → Tree → pager lock
 //     hierarchy (analyzer lockorder),
 //   - per-scan I/O attribution through pager.ScanStats on every search
 //     path — the paper's §5.2 headline metric is page accesses, so one

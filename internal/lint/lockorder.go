@@ -9,19 +9,20 @@ import (
 // LockOrder enforces the documented lock hierarchy and structural locking
 // hygiene. The hierarchy, outermost first, is
 //
-//	checkpoint (level 0) → shard-view (level 1) → DB (level 2) → Index (level 3) → Tree (level 4) → pager (level 5)
+//	checkpoint (level 0) → shard-view (level 1) → engine (level 2) → Index (level 3) → Tree (level 4) → pager (level 5)
 //
 // where a mutex's level comes first from its field name (a field named
 // ckptMu is the checkpoint serialization lock, above everything — it is
-// taken before the short db.mu holds inside DB.Checkpoint and must never
-// be acquired while db.mu is held; a field named viewMu is the shard
-// router's cross-shard view lock, taken before any per-shard db.mu),
-// then from the type that owns it (a type named DB, Index or Tree) or,
-// failing that, from the owning type's package (btree → 4, pager → 5).
+// taken before the short engine.mu holds inside DB.Checkpoint and must
+// never be acquired while one is held; a field named viewMu is DB's
+// cross-shard view lock, taken before any shard's engine.mu), then from
+// the type that owns it (a type named engine — one shard of a DB — Index
+// or Tree) or, failing that, from the owning type's package (btree → 4,
+// pager → 5).
 // Within one function body the analyzer flags:
 //
 //   - acquiring a mutex at the same or an earlier level while holding a
-//     later one (a DB lock taken under a pager lock inverts the
+//     later one (an engine lock taken under a pager lock inverts the
 //     hierarchy and can deadlock against the normal descent) — checked
 //     both where the acquisition is spelled out and, through the
 //     module-wide lock graph, at every call that can transitively reach
@@ -43,19 +44,19 @@ import (
 // (RunModule, see lockorder_module.go).
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "check checkpoint → shard-view → DB → Index → Tree → pager lock ordering (intra- and interprocedural), double-acquires, upgrades, unlock-on-every-path, cycles, and locks held across fsync or blocking sends",
+	Doc:       "check checkpoint → shard-view → engine → Index → Tree → pager lock ordering (intra- and interprocedural), double-acquires, upgrades, unlock-on-every-path, cycles, and locks held across fsync or blocking sends",
 	Run:       runLockOrder,
 	RunModule: runLockOrderModule,
 }
 
 // Hierarchy levels by mutex field name, by owning type name, and by
 // owning package name — consulted in that order: the field name is the
-// most specific signal (ckptMu on DB must rank above DB's own mu).
+// most specific signal (ckptMu ranks above every type-ranked lock).
 var (
 	lockLevelByField = map[string]int{"ckptMu": 0, "viewMu": 1}
-	lockLevelByType  = map[string]int{"DB": 2, "Index": 3, "Tree": 4}
+	lockLevelByType  = map[string]int{"engine": 2, "Index": 3, "Tree": 4}
 	lockLevelByPkg   = map[string]int{"btree": 4, "pager": 5}
-	lockLevelLabel   = []string{"checkpoint", "shard-view", "DB", "Index", "Tree", "pager"}
+	lockLevelLabel   = []string{"checkpoint", "shard-view", "engine", "Index", "Tree", "pager"}
 )
 
 // lockCall is one recognized sync.Mutex/RWMutex (un)lock call site.

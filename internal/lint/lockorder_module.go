@@ -57,7 +57,7 @@ func runLockOrderModule(mp *ModulePass) {
 				hier := h.level >= 0 && acq.op.level >= 0 && acq.op.level <= h.level && h.key != acq.op.key
 				if hier {
 					mp.Reportf(acq.op.pos,
-						"lock order violation: acquiring %s lock %s while holding %s lock %s; the hierarchy is checkpoint → shard-view → DB → Index → Tree → pager",
+						"lock order violation: acquiring %s lock %s while holding %s lock %s; the hierarchy is checkpoint → shard-view → engine → Index → Tree → pager",
 						lockLevelLabel[acq.op.level], acq.op.key, lockLevelLabel[h.level], h.key)
 				}
 				if h.class != nil && acq.op.class != nil && h.class != acq.op.class {
@@ -155,7 +155,7 @@ func runLockOrderModule(mp *ModulePass) {
 					if len(viol) > 0 {
 						sort.Strings(viol)
 						mp.Reportf(call.pos,
-							"lock order violation: %s lock %s is held across a call that may acquire %s (%s); the hierarchy is checkpoint → shard-view → DB → Index → Tree → pager",
+							"lock order violation: %s lock %s is held across a call that may acquire %s (%s); the hierarchy is checkpoint → shard-view → engine → Index → Tree → pager",
 							lockLevelLabel[h.level], h.key, strings.Join(viol, ", "), mf.chainString(wit, acquireLeaf))
 					}
 				}

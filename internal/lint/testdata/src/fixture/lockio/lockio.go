@@ -9,18 +9,18 @@ import (
 	"fixture/vfs"
 )
 
-// DB carries a level-1 lock, ranked by type name exactly like the real
-// tree's DB.
-type DB struct {
+// engine carries a level-2 lock, ranked by type name exactly like the
+// real tree's engine.
+type engine struct {
 	mu sync.Mutex
 }
 
-// SyncUnderLock fsyncs with the DB lock held: every waiter stalls on
+// SyncUnderLock fsyncs with the engine lock held: every waiter stalls on
 // disk latency.
-func (db *DB) SyncUnderLock(f vfs.File) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return f.Sync() // want "DB lock db.mu is held across vfs.File.Sync, which fsyncs"
+func (e *engine) SyncUnderLock(f vfs.File) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return f.Sync() // want "engine lock e.mu is held across vfs.File.Sync, which fsyncs"
 }
 
 // flush is the helper the interprocedural pass must see through.
@@ -29,17 +29,17 @@ func flush(f vfs.File) error {
 }
 
 // SyncViaHelper reaches the fsync through a callee.
-func (db *DB) SyncViaHelper(f vfs.File) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return flush(f) // want "DB lock db.mu is held across a call that can fsync (lockio.DB.SyncViaHelper → lockio.flush fsyncs via vfs.File.Sync"
+func (e *engine) SyncViaHelper(f vfs.File) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return flush(f) // want "engine lock e.mu is held across a call that can fsync (lockio.engine.SyncViaHelper → lockio.flush fsyncs via vfs.File.Sync"
 }
 
-// SendUnderLock blocks on a channel send with the DB lock held.
-func (db *DB) SendUnderLock(ch chan int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ch <- 1 // want "lock db.mu is held across a blocking channel send"
+// SendUnderLock blocks on a channel send with the engine lock held.
+func (e *engine) SendUnderLock(ch chan int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ch <- 1 // want "lock e.mu is held across a blocking channel send"
 }
 
 // push is the sending helper behind SendViaHelper.
@@ -48,17 +48,17 @@ func push(ch chan int) {
 }
 
 // SendViaHelper reaches the blocking send through a callee.
-func (db *DB) SendViaHelper(ch chan int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	push(ch) // want "lock db.mu is held across a call that can block on a channel send"
+func (e *engine) SendViaHelper(ch chan int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	push(ch) // want "lock e.mu is held across a call that can block on a channel send"
 }
 
 // TrySend never blocks — the default case makes the send conditional:
 // clean.
-func (db *DB) TrySend(ch chan int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+func (e *engine) TrySend(ch chan int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	select {
 	case ch <- 1:
 	default:

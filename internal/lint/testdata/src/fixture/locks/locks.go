@@ -9,26 +9,29 @@ import (
 	"fixture/pager"
 )
 
-// DB, Index and Tree carry the level-2/3/4 locks of the documented
-// hierarchy; pager.Store carries level 5; DB's ckptMu field carries
-// level 0 (the checkpoint serialization lock) and viewMu level 1 (the
-// shard router's cross-shard view lock), both ranked by field name.
+// engine, Index and Tree carry the level-2/3/4 locks of the documented
+// hierarchy, ranked by type name like the real tree's; pager.Store
+// carries level 5; DB's ckptMu field carries level 0 (the checkpoint
+// serialization lock) and viewMu level 1 (the cross-shard view lock),
+// both ranked by field name.
 type DB struct {
 	ckptMu sync.Mutex
 	viewMu sync.RWMutex
-	mu     sync.RWMutex
 }
+
+type engine struct{ mu sync.RWMutex }
 
 type Index struct{ mu sync.RWMutex }
 
 type Tree struct{ mu sync.RWMutex }
 
-// Inverted acquires a DB lock under a Tree lock: hierarchy inversion.
-func Inverted(db *DB, t *Tree) {
+// Inverted acquires an engine lock under a Tree lock: hierarchy
+// inversion.
+func Inverted(e *engine, t *Tree) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	db.mu.Lock() // want "lock order violation: acquiring DB lock db.mu while holding Tree lock t.mu"
-	defer db.mu.Unlock()
+	e.mu.Lock() // want "lock order violation: acquiring engine lock e.mu while holding Tree lock t.mu"
+	defer e.mu.Unlock()
 }
 
 // SameLevel nests two locks of the same level, which the hierarchy
@@ -48,39 +51,39 @@ func PagerThenTree(s *pager.Store, t *Tree) {
 	defer t.mu.Unlock()
 }
 
-// MutationThenCkpt acquires the checkpoint lock under the DB lock —
-// against a checkpoint holding ckptMu and waiting on db.mu, that
+// MutationThenCkpt acquires the checkpoint lock under an engine lock —
+// against a checkpoint holding ckptMu and waiting on e.mu, that
 // deadlocks.
-func MutationThenCkpt(db *DB) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.ckptMu.Lock() // want "lock order violation: acquiring checkpoint lock db.ckptMu while holding DB lock db.mu"
+func MutationThenCkpt(db *DB, e *engine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	db.ckptMu.Lock() // want "lock order violation: acquiring checkpoint lock db.ckptMu while holding engine lock e.mu"
 	defer db.ckptMu.Unlock()
 }
 
-// CkptThenDB descends the hierarchy from the checkpoint lock: clean —
+// CkptThenEngine descends the hierarchy from the checkpoint lock: clean —
 // DB.Checkpoint's capture and finish sections take exactly this shape.
-func CkptThenDB(db *DB) {
+func CkptThenEngine(db *DB, e *engine) {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	db.mu.RLock()
-	db.mu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	e.mu.RLock()
+	e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 }
 
-// MutationThenView acquires the shard-view lock under a per-shard DB
-// lock — against a snapshot reader holding viewMu and waiting on db.mu,
-// that deadlocks.
-func MutationThenView(db *DB) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.viewMu.RLock() // want "lock order violation: acquiring shard-view lock db.viewMu while holding DB lock db.mu"
+// MutationThenView acquires the shard-view lock under an engine lock —
+// against a snapshot reader holding viewMu and waiting on e.mu, that
+// deadlocks.
+func MutationThenView(db *DB, e *engine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	db.viewMu.RLock() // want "lock order violation: acquiring shard-view lock db.viewMu while holding engine lock e.mu"
 	defer db.viewMu.RUnlock()
 }
 
 // ViewThenCkpt acquires the checkpoint lock under the shard-view lock:
-// a sharded checkpoint takes ckptMu first, then viewMu.
+// a checkpoint takes ckptMu first, then viewMu.
 func ViewThenCkpt(db *DB) {
 	db.viewMu.Lock()
 	defer db.viewMu.Unlock()
@@ -88,14 +91,14 @@ func ViewThenCkpt(db *DB) {
 	defer db.ckptMu.Unlock()
 }
 
-// ViewThenDB descends from the shard-view lock into a shard's DB lock:
-// clean — the shard router's mutation and snapshot paths take exactly
-// this shape.
-func ViewThenDB(router, shard *DB) {
-	router.viewMu.RLock()
-	defer router.viewMu.RUnlock()
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
+// ViewThenEngine descends from the shard-view lock into a shard's engine
+// lock: clean — DB's mutation and snapshot paths take exactly this
+// shape.
+func ViewThenEngine(db *DB, e *engine) {
+	db.viewMu.RLock()
+	defer db.viewMu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 }
 
 // Upgrade attempts the RLock-then-Lock upgrade on one mutex.
@@ -125,9 +128,9 @@ func LeakOnError(t *Tree, fail bool) error {
 }
 
 // ProperDescent takes the three levels in hierarchy order: clean.
-func ProperDescent(db *DB, ix *Index, t *Tree) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+func ProperDescent(e *engine, ix *Index, t *Tree) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	t.mu.Lock()

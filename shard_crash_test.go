@@ -126,7 +126,7 @@ func shardCrashWorkload(t *testing.T, rec *crashfs.Recorder, nonAtomicManifest b
 	// retained journal suffixes and the manifest's cut sequences.
 	ckptStart := rec.Ops()
 	var hookCalls []shardCall
-	db.sub[0].testBeforeSnapshotWrite = func() {
+	db.shards[0].testBeforeSnapshotWrite = func() {
 		for _, id := range []int{30, 31} {
 			start := rec.Ops()
 			s := crashSummary(id)
@@ -136,7 +136,7 @@ func shardCrashWorkload(t *testing.T, rec *crashfs.Recorder, nonAtomicManifest b
 			hookCalls = append(hookCalls, shardCall{start: start, end: rec.Ops(), perShard: single(crashOp{id: id, summary: s})})
 		}
 	}
-	db.sub[0].testBeforeRotate = func() {
+	db.shards[0].testBeforeRotate = func() {
 		start := rec.Ops()
 		if err := db.Remove(30); err != nil {
 			t.Fatalf("mid-checkpoint Remove(30): %v", err)
@@ -146,7 +146,7 @@ func shardCrashWorkload(t *testing.T, rec *crashfs.Recorder, nonAtomicManifest b
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("mid-stream Checkpoint: %v", err)
 	}
-	db.sub[0].testBeforeSnapshotWrite, db.sub[0].testBeforeRotate = nil, nil
+	db.shards[0].testBeforeSnapshotWrite, db.shards[0].testBeforeRotate = nil, nil
 	record(ckptStart, nil)
 	calls = append(calls, hookCalls...)
 

@@ -2,76 +2,91 @@ package vitri
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"vitri/internal/core"
 	"vitri/internal/shard"
-	"vitri/internal/vfs"
 )
 
-// Shard router: when Options.Shards > 1, DB.sub holds that many
-// independent single-shard engines and the methods here route, scatter
-// and aggregate across them.
+// Shard routing: DB.shards holds one or more independent engines and the
+// helpers here route, scatter and aggregate across them.
 //
 //   - Mutations route by shard.Route(videoID, N) — a stable hash, so a
 //     video's home shard never changes and a durable store's journals
 //     stay self-consistent across restarts.
 //   - Searches scatter to every shard and merge the per-shard top-k.
 //     Similarities are canonical (see internal/index's cell fold), so the
-//     merged ranking is byte-identical to the single-shard engine's; the
+//     merged ranking is byte-identical at every shard count; the
 //     tie-break (higher similarity first, then lower video id) is the
 //     same total order rankLocked uses.
-//   - Cross-shard reads (Len, Triplets, DriftAngle, Save, the checkpoint
-//     capture) take viewMu exclusively while multi-shard mutations hold
-//     it shared for their whole apply window, so no reader ever observes
-//     a batch half-applied across shards.
+//   - Cross-shard reads (Len, Triplets, DriftAngle, Stats, Save, the
+//     checkpoint capture) take viewMu exclusively while mutations hold it
+//     shared for their whole apply window, so no reader ever observes a
+//     batch half-applied across shards.
+//
+// One shard is the degenerate case of all three, not a bypass: fanOut
+// runs shard 0 on the caller's goroutine, so a one-shard search spawns
+// nothing and pays one k-element merge.
 //
 // The equivalence contract — matches, similarities, shared-frame counts
-// and aggregate stats byte-identical to the single-shard oracle at every
-// shard count — is enforced by shard_equiv_test.go; the crash contract
-// (per-shard journals plus an atomically committed manifest survive a
-// power cut at every write boundary) by shard_crash_test.go.
+// and aggregate stats byte-identical to a bare, router-free engine at
+// every shard count — is enforced by shard_equiv_test.go; the crash
+// contract (per-shard journals plus an atomically committed manifest
+// survive a power cut at every write boundary) by shard_crash_test.go.
 
-// shardDur is a shard router's durable bookkeeping. The per-shard
-// snapshot + journal state lives in each shard's own durableState; the
-// router owns only the manifest — the store's commit record — and the
-// checkpoint epoch it advances.
-type shardDur struct {
-	fs           vfs.FS // immutable after OpenDurable
-	dir          string // immutable after OpenDurable
-	manifestPath string // immutable after OpenDurable
-	// epoch mirrors the committed manifest's checkpoint epoch.
-	// guarded by db.ckptMu
-	epoch       uint64
-	checkpoints atomic.Uint64
+// home returns the engine a video id routes to.
+func (db *DB) home(videoID int) *engine {
+	return db.shards[shard.Route(videoID, len(db.shards))]
 }
 
-// addSummarySharded routes one summary to its home shard. The apply runs
-// under a shared view-lock hold (consistent with batch applies; see
-// DB.viewMu), the group commit after every lock is released.
-func (db *DB) addSummarySharded(s Summary) error {
-	db.viewMu.RLock()
-	dur, seq, err := db.sub[shard.Route(s.VideoID, len(db.sub))].addSummaryApply(s)
-	db.viewMu.RUnlock()
-	if err != nil {
-		return err
+// fanOut runs fn(i) for every shard i and returns when all have
+// finished: shard 0 on the caller's goroutine and, when concurrent, each
+// further shard on its own; otherwise every shard in order on the caller.
+func (db *DB) fanOut(concurrent bool, fn func(i int)) {
+	if !concurrent {
+		for i := range db.shards {
+			fn(i)
+		}
+		return
 	}
-	return dur.commitSeq(seq)
+	var wg sync.WaitGroup
+	for i := 1; i < len(db.shards); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	fn(0)
+	wg.Wait()
 }
 
-// removeSharded routes one removal to its home shard.
-func (db *DB) removeSharded(videoID int) error {
-	db.viewMu.RLock()
-	dur, seq, err := db.sub[shard.Route(videoID, len(db.sub))].removeApply(videoID)
-	db.viewMu.RUnlock()
-	if err != nil {
-		return err
+// eachNonEmpty runs fn on every shard in order, stopping at the first
+// failure. An empty shard (fn reports ErrEmptyDB) is skipped; the call
+// fails with ErrEmptyDB only when every shard is empty — the rule scatter
+// applies to searches.
+func (db *DB) eachNonEmpty(fn func(*engine) error) error {
+	empty := 0
+	for _, e := range db.shards {
+		switch err := fn(e); {
+		case err == nil:
+		case errors.Is(err, ErrEmptyDB):
+			empty++
+		default:
+			return err
+		}
 	}
-	return dur.commitSeq(seq)
+	if empty == len(db.shards) {
+		return ErrEmptyDB
+	}
+	return nil
+}
+
+// forceBuild builds every lazy index now (empty shards stay empty), so a
+// bulk constructor's first search doesn't pay for construction.
+func (db *DB) forceBuild() error {
+	return db.eachNonEmpty((*engine).build)
 }
 
 // commitTicket is one shard's pending group commit after a batch apply.
@@ -81,15 +96,15 @@ type commitTicket struct {
 	err    error
 }
 
-// addBatchSharded applies a summarized batch across shards. Items
-// partition by home shard in input order (so first-wins duplicate
-// semantics inside a shard match the sequential engine; cross-shard
-// duplicates cannot exist — equal ids share a home). The per-shard
-// applies run concurrently under one shared view-lock hold, then each
-// shard group-commits its own journal concurrently — independent fsync
-// streams are exactly where sharding multiplies ingest bandwidth.
-func (db *DB) addBatchSharded(summaries []core.Summary, itemErrs []error) ([]error, error) {
-	n := len(db.sub)
+// addBatch applies a summarized batch across shards. Items partition by
+// home shard in input order (so first-wins duplicate semantics inside a
+// shard match a sequential Add loop; cross-shard duplicates cannot exist
+// — equal ids share a home). The per-shard applies run concurrently
+// under one shared view-lock hold, then each shard group-commits its own
+// journal concurrently — independent fsync streams are exactly where
+// sharding multiplies ingest bandwidth.
+func (db *DB) addBatch(summaries []core.Summary, itemErrs []error) ([]error, error) {
+	n := len(db.shards)
 	byShard := make([][]int, n)
 	for i := range summaries {
 		if itemErrs[i] != nil {
@@ -99,49 +114,28 @@ func (db *DB) addBatchSharded(summaries []core.Summary, itemErrs []error) ([]err
 		byShard[si] = append(byShard[si], i)
 	}
 	tickets := make([]commitTicket, n)
+	// With the test hook set the applies run shard by shard, the hook
+	// between them — inside the window where the batch is torn across
+	// shards.
+	hook := db.testBetweenShardApplies
 	db.viewMu.RLock()
-	if hook := db.testBetweenShardApplies; hook != nil {
-		// Test-only deterministic path: apply shard by shard and run the
-		// hook inside the window where the batch is torn across shards.
-		for si := 0; si < n; si++ {
-			if len(byShard[si]) > 0 {
-				d, mx, e := db.sub[si].applyBatch(summaries, byShard[si], itemErrs)
-				tickets[si] = commitTicket{dur: d, maxSeq: mx, err: e}
-			}
+	db.fanOut(hook == nil, func(si int) {
+		if len(byShard[si]) > 0 {
+			d, mx, e := db.shards[si].applyBatch(summaries, byShard[si], itemErrs)
+			tickets[si] = commitTicket{dur: d, maxSeq: mx, err: e}
+		}
+		if hook != nil {
 			hook()
 		}
-	} else {
-		var wg sync.WaitGroup
-		for si := 0; si < n; si++ {
-			if len(byShard[si]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				d, mx, e := db.sub[si].applyBatch(summaries, byShard[si], itemErrs)
-				tickets[si] = commitTicket{dur: d, maxSeq: mx, err: e}
-			}(si)
-		}
-		wg.Wait()
-	}
+	})
 	db.viewMu.RUnlock()
 
 	// Group-commit every shard's journal concurrently, after the view
 	// lock is released (an fsync must never stall snapshot readers).
 	commitErrs := make([]error, n)
-	var cwg sync.WaitGroup
-	for si := 0; si < n; si++ {
-		if tickets[si].maxSeq == 0 {
-			continue
-		}
-		cwg.Add(1)
-		go func(si int) {
-			defer cwg.Done()
-			commitErrs[si] = tickets[si].dur.commitSeq(tickets[si].maxSeq)
-		}(si)
-	}
-	cwg.Wait()
+	db.fanOut(true, func(si int) {
+		commitErrs[si] = tickets[si].dur.commitSeq(tickets[si].maxSeq)
+	})
 
 	var batchErr error
 	for si := 0; si < n; si++ {
@@ -167,48 +161,26 @@ func (db *DB) addBatchSharded(summaries []core.Summary, itemErrs []error) ([]err
 	return itemErrs, batchErr
 }
 
-// scatterSearch fans one query out to every shard and merges the
-// per-shard top-k. Correctness of merge-then-truncate: each video lives
-// in exactly one shard and its similarity is canonical, so the global
-// top-k is a subset of the union of per-shard top-ks. An empty shard is
-// skipped; the search fails with ErrEmptyDB only when every shard is
-// empty, matching the single-shard contract. Stats are the exact sum of
-// the per-shard counters (each shard attributes page reads per query).
-func (db *DB) scatterSearch(q *Summary, k int, mode QueryMode, parallelism int, concurrent bool) ([]Match, SearchStats, error) {
-	return db.scatter(k, concurrent, func(sh *DB) ([]Match, SearchStats, error) {
-		return sh.searchSummaryP(q, k, mode, parallelism)
-	})
-}
-
 // scatter runs one per-shard search closure on every shard and merges
-// the per-shard top-k — the fan-out skeleton scatterSearch and
-// scatterImage share. The closure must rank by the engine's canonical
-// total order (similarity descending, id ascending) for mergeTopK's
-// merge-then-truncate to reproduce the single-shard ranking.
-func (db *DB) scatter(k int, concurrent bool, run func(sh *DB) ([]Match, SearchStats, error)) ([]Match, SearchStats, error) {
+// the per-shard top-k — the fan-out skeleton every query shape shares.
+// Correctness of merge-then-truncate: each video lives in exactly one
+// shard and its similarity is canonical, so the global top-k is a subset
+// of the union of per-shard top-ks; the closure must rank by the engine's
+// canonical total order (similarity descending, id ascending). An empty
+// shard is skipped; the search fails with ErrEmptyDB only when every
+// shard is empty. Stats are the exact sum of the per-shard counters (each
+// shard attributes page reads per query).
+func (db *DB) scatter(k int, concurrent bool, run func(e *engine) ([]Match, SearchStats, error)) ([]Match, SearchStats, error) {
 	type shardOut struct {
 		res   []Match
 		stats SearchStats
 		err   error
 	}
-	outs := make([]shardOut, len(db.sub))
-	if concurrent {
-		var wg sync.WaitGroup
-		for i := 0; i < len(db.sub); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				o := &outs[i]
-				o.res, o.stats, o.err = run(db.sub[i])
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < len(db.sub); i++ {
-			o := &outs[i]
-			o.res, o.stats, o.err = run(db.sub[i])
-		}
-	}
+	outs := make([]shardOut, len(db.shards))
+	db.fanOut(concurrent, func(i int) {
+		o := &outs[i]
+		o.res, o.stats, o.err = run(db.shards[i])
+	})
 	var stats SearchStats
 	empty := 0
 	parts := make([][]Match, 0, len(outs))
@@ -227,7 +199,7 @@ func (db *DB) scatter(k int, concurrent bool, run func(sh *DB) ([]Match, SearchS
 			return nil, SearchStats{}, outs[i].err
 		}
 	}
-	if empty == len(db.sub) {
+	if empty == len(db.shards) {
 		return nil, SearchStats{}, ErrEmptyDB
 	}
 	return mergeTopK(parts, k), stats, nil
@@ -236,7 +208,7 @@ func (db *DB) scatter(k int, concurrent bool, run func(sh *DB) ([]Match, SearchS
 // mergeTopK merges per-shard ranked lists into the global top-k using
 // the same total order the per-shard ranking sorts by: similarity
 // descending, then video id ascending. Returns nil when no shard
-// produced a match, like a single-shard search with no candidates.
+// produced a match, like an engine search with no candidates.
 func mergeTopK(parts [][]Match, k int) []Match {
 	total := 0
 	for _, p := range parts {
@@ -259,199 +231,4 @@ func mergeTopK(parts [][]Match, k int) []Match {
 		all = all[:k]
 	}
 	return all
-}
-
-// searchBatchSharded pipelines whole queries through a worker pool
-// (Options.SearchParallelism workers, like the single-shard batch path);
-// each query scatters across shards sequentially with intra-query
-// parallelism 1, so concurrency lives at the query and shard grain where
-// it pays, not in nested pools.
-func (db *DB) searchBatchSharded(queries []Summary, k int, mode QueryMode) ([]BatchResult, error) {
-	// Whole-call contract, as on a single shard: fail only when the
-	// database holds nothing; force lazy index builds now so per-query
-	// work starts from a built index.
-	empty := 0
-	for i := 0; i < len(db.sub); i++ {
-		if _, err := db.sub[i].index(); err != nil {
-			if errors.Is(err, ErrEmptyDB) {
-				empty++
-				continue
-			}
-			return nil, err
-		}
-	}
-	if empty == len(db.sub) {
-		return nil, ErrEmptyDB
-	}
-	out := make([]BatchResult, len(queries))
-	workers := db.opts.SearchParallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				res, stats, err := db.scatterSearch(&queries[i], k, mode, 1, false)
-				out[i] = BatchResult{Results: res, Stats: stats, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// checkpointSharded runs the two-phase checkpoint per shard and commits
-// the cross-shard cut atomically:
-//
-//  1. Capture — every shard's (summaries, journal cut) pair is pinned
-//     under ONE exclusive view-lock hold. Multi-shard batches hold the
-//     view lock shared for their whole apply window, so the per-shard
-//     cuts form a single consistent cross-shard cut: no batch is
-//     captured on some shards and missed on others.
-//  2. Commit — per shard, in shard order: snapshot write + journal
-//     rotation, with mutations in flight (the view lock is released).
-//     Sequential order keeps the crash suite's write-boundary
-//     enumeration deterministic; the disk work is already pipelined
-//     against mutations, which is where non-blocking matters.
-//  3. Manifest — the new per-shard cut sequences and the advanced epoch
-//     replace the manifest via temp file + fsync + rename + dir sync.
-//     This rename is the checkpoint's commit point: a crash anywhere
-//     before it leaves the previous manifest, whose cuts the retained
-//     journal suffixes still satisfy; a crash after it finds every
-//     shard's snapshot already in place.
-func (db *DB) checkpointSharded() error {
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	sd := db.shdur
-	if sd == nil {
-		return ErrNotDurable
-	}
-	caps := make([]*ckptCapture, len(db.sub))
-	db.viewMu.Lock()
-	var err error
-	for i := 0; i < len(db.sub) && err == nil; i++ {
-		caps[i], err = db.sub[i].checkpointCapture()
-	}
-	db.viewMu.Unlock()
-	if err != nil {
-		return err
-	}
-	cuts := make([]uint64, len(db.sub))
-	for i := 0; i < len(db.sub); i++ {
-		if err := db.sub[i].checkpointCommit(caps[i]); err != nil {
-			return fmt.Errorf("vitri: checkpoint shard %d: %w", i, err)
-		}
-		cuts[i] = caps[i].cut.LastSeq
-	}
-	man := &shard.Manifest{Shards: len(db.sub), Epoch: sd.epoch + 1, Cuts: cuts}
-	if db.testNonAtomicManifest {
-		err = shard.WriteManifestUnsafe(sd.fs, sd.manifestPath, man)
-	} else {
-		err = shard.WriteManifest(sd.fs, sd.manifestPath, man)
-	}
-	if err != nil {
-		return fmt.Errorf("vitri: checkpoint: manifest: %w", err)
-	}
-	sd.epoch++
-	sd.checkpoints.Add(1)
-	return nil
-}
-
-// durabilityStatsSharded aggregates per-shard durability telemetry; see
-// DurabilityStats for the aggregation semantics.
-func (db *DB) durabilityStatsSharded() DurabilityStats {
-	sd := db.shdur
-	if sd == nil {
-		return DurabilityStats{}
-	}
-	agg := DurabilityStats{
-		Enabled:     true,
-		Dir:         sd.dir,
-		Checkpoints: sd.checkpoints.Load(),
-	}
-	first := true
-	for i := 0; i < len(db.sub); i++ {
-		ds := db.sub[i].DurabilityStats()
-		if !ds.Enabled {
-			continue
-		}
-		agg.SnapshotSeq += ds.SnapshotSeq
-		if first || ds.SnapshotVersion < agg.SnapshotVersion {
-			agg.SnapshotVersion = ds.SnapshotVersion
-		}
-		first = false
-		agg.Journal.Depth += ds.Journal.Depth
-		agg.Journal.Bytes += ds.Journal.Bytes
-		agg.Journal.LastSeq += ds.Journal.LastSeq
-		agg.Journal.DurableSeq += ds.Journal.DurableSeq
-		agg.Journal.Fsyncs += ds.Journal.Fsyncs
-		agg.Journal.FsyncLatency = agg.Journal.FsyncLatency.Merge(ds.Journal.FsyncLatency)
-	}
-	return agg
-}
-
-// statsSharded aggregates the per-shard tree shapes under one consistent
-// cross-shard snapshot.
-func (db *DB) statsSharded() (IndexStats, error) {
-	db.viewMu.Lock()
-	defer db.viewMu.Unlock()
-	var agg IndexStats
-	var weightedFill float64
-	for i := 0; i < len(db.sub); i++ {
-		st, err := db.sub[i].Stats()
-		if err != nil {
-			return IndexStats{}, err
-		}
-		if st.Height > agg.Height {
-			agg.Height = st.Height
-		}
-		agg.InternalNodes += st.InternalNodes
-		agg.LeafNodes += st.LeafNodes
-		agg.Entries += st.Entries
-		weightedFill += st.LeafFill * float64(st.LeafNodes)
-	}
-	if agg.LeafNodes > 0 {
-		agg.LeafFill = weightedFill / float64(agg.LeafNodes)
-	}
-	return agg, nil
-}
-
-// checkRouting verifies every video this shard recovered routes to it —
-// the open-time guard against a store whose shard directories were
-// rearranged or copied between stores with different shard counts.
-func (db *DB) checkRouting(i, n int) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for id := range db.ids {
-		if home := shard.Route(id, n); home != i {
-			return fmt.Errorf("vitri: open durable: video %d recovered in shard %d but routes to shard %d — shard layout is corrupt", id, i, home)
-		}
-	}
-	return nil
-}
-
-// forceBuild builds every lazy index now (empty shards stay empty), so a
-// bulk constructor's first search doesn't pay for construction.
-func (db *DB) forceBuild() error {
-	if db.sub != nil {
-		for i := 0; i < len(db.sub); i++ {
-			if _, err := db.sub[i].index(); err != nil && !errors.Is(err, ErrEmptyDB) {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := db.index()
-	return err
 }

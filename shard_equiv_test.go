@@ -2,15 +2,19 @@ package vitri
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vitri/internal/vfs"
 )
 
-// Differential equivalence suite: a sharded database must be
-// observationally identical to the single-shard oracle. "Identical" here
+// Differential equivalence suite: a database at any shard count must be
+// observationally identical to the oracle — a bare engine fed every
+// summary and searched directly, sharing no router code with the DB (see
+// refDB in reference_test.go). "Identical" here
 // is the strictest form available — matches compared by Float64bits of
 // every similarity and shared-frame count (not a tolerance), contents
 // compared through the on-disk byte encoding — because the engine's
@@ -60,15 +64,15 @@ func equivQueries(n int) []Summary {
 // of an op — but their sum is exactly the pre-tier op count, so the sum
 // is invariant across shard counts AND across tier on/off, letting one
 // oracle serve both configurations.
-func checkEquiv(t *testing.T, oracle, sharded *DB, queries []Summary, k int) {
+func checkEquiv(t *testing.T, oracle *refDB, sharded *DB, queries []Summary, k int) {
 	t.Helper()
-	if got, want := sharded.Len(), oracle.Len(); got != want {
+	if got, want := sharded.Len(), oracle.e.len(); got != want {
 		t.Fatalf("Len = %d, oracle %d", got, want)
 	}
-	if got, want := sharded.Triplets(), oracle.Triplets(); got != want {
+	if got, want := sharded.Triplets(), oracle.e.triplets(); got != want {
 		t.Fatalf("Triplets = %d, oracle %d", got, want)
 	}
-	if got, want := storeBytes(t, sharded), storeBytes(t, oracle); !bytes.Equal(got, want) {
+	if got, want := storeBytes(t, sharded), oracle.storeBytes(t); !bytes.Equal(got, want) {
 		t.Fatalf("store bytes diverge: %d vs %d bytes", len(got), len(want))
 	}
 	for qi := range queries {
@@ -91,7 +95,7 @@ func checkEquiv(t *testing.T, oracle, sharded *DB, queries []Summary, k int) {
 			}
 		}
 	}
-	wantStats, err := oracle.Stats()
+	wantStats, err := oracle.e.stats()
 	if err != nil {
 		t.Fatalf("oracle Stats: %v", err)
 	}
@@ -110,7 +114,7 @@ func checkEquiv(t *testing.T, oracle, sharded *DB, queries []Summary, k int) {
 // equivApply drives one deterministic mixed workload — batch ingest,
 // single adds, removes, a second batch — against a database, asserting
 // per-item and batch-level success.
-func equivApply(t *testing.T, db *DB, videos []Video) {
+func equivApply(t *testing.T, db equivDB, videos []Video) {
 	t.Helper()
 	itemErrs, err := db.AddBatch(videos[:len(videos)/2])
 	if err != nil {
@@ -148,20 +152,20 @@ func equivApply(t *testing.T, db *DB, videos []Video) {
 }
 
 // TestShardEquivalence is the tentpole differential test: the same
-// seeded workload applied to the single-shard oracle and to shard counts
+// seeded workload applied to the bare-engine oracle and to shard counts
 // 1, 2, 3 and 8 yields bit-identical rankings, contents and
 // shard-invariant work counters at every phase.
 func TestShardEquivalence(t *testing.T) {
 	videos := ingestCorpus(83, 48)
 	queries := equivQueries(6)
-	oracle := New(Options{Epsilon: 0.3, Seed: 7})
+	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
 	equivApply(t, oracle, videos)
 	for _, n := range equivShardCounts {
 		n := n
 		t.Run(shardName(n), func(t *testing.T) {
 			sharded := New(Options{Epsilon: 0.3, Seed: 7, Shards: n})
-			if n > 1 && len(sharded.sub) != n {
-				t.Fatalf("router has %d shards, want %d", len(sharded.sub), n)
+			if len(sharded.shards) != n {
+				t.Fatalf("router has %d shards, want %d", len(sharded.shards), n)
 			}
 			equivApply(t, sharded, videos)
 			checkEquiv(t, oracle, sharded, queries, 10)
@@ -174,12 +178,9 @@ func TestShardEquivalence(t *testing.T) {
 func TestShardEquivalenceSearchBatch(t *testing.T) {
 	videos := ingestCorpus(84, 40)
 	queries := equivQueries(9)
-	oracle := New(Options{Epsilon: 0.3, Seed: 7})
+	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
 	equivApply(t, oracle, videos)
-	wantBatch, err := oracle.SearchBatch(queries, 7, Composed)
-	if err != nil {
-		t.Fatalf("oracle SearchBatch: %v", err)
-	}
+	wantBatch := oracle.SearchBatch(queries, 7, Composed)
 	for _, n := range equivShardCounts {
 		n := n
 		t.Run(shardName(n), func(t *testing.T) {
@@ -248,18 +249,20 @@ func TestShardSearchDeterministic(t *testing.T) {
 // TestShardEquivalenceDurable runs the differential workload against
 // durable stores on an in-memory filesystem: mutate, checkpoint
 // mid-stream, mutate more, close, reopen (shard count adopted from the
-// manifest), and require the recovered database to remain bit-identical
-// to the recovered single-shard oracle.
+// store), and require the recovered database to remain bit-identical to
+// the recovered bare-engine oracle — a snapshot + journal with no router
+// above it.
 func TestShardEquivalenceDurable(t *testing.T) {
 	videos := ingestCorpus(86, 40)
 	queries := equivQueries(5)
 
-	runStore := func(t *testing.T, n int) *DB {
-		fsys := vfs.NewMemFS()
-		dopts := DurableOptions{FS: fsys}
-		db, err := OpenDurable("store", Options{Epsilon: 0.3, Seed: 7, Shards: n, Durable: &dopts})
+	// runStore drives one store through the durable workload; open opens
+	// (first call, with the epsilon) and reopens (second call, adopting it)
+	// the same directory.
+	runStore := func(t *testing.T, open func(Options) (equivDB, error)) equivDB {
+		db, err := open(Options{Epsilon: 0.3, Seed: 7})
 		if err != nil {
-			t.Fatalf("OpenDurable(shards=%d): %v", n, err)
+			t.Fatalf("open: %v", err)
 		}
 		equivApply(t, db, videos[:30])
 		if err := db.Checkpoint(); err != nil {
@@ -276,9 +279,9 @@ func TestShardEquivalenceDurable(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		reopened, err := OpenDurable("store", Options{Seed: 7, Durable: &DurableOptions{FS: fsys}})
+		reopened, err := open(Options{Seed: 7})
 		if err != nil {
-			t.Fatalf("reopen(shards=%d): %v", n, err)
+			t.Fatalf("reopen: %v", err)
 		}
 		if reopened.Epsilon() != 0.3 {
 			t.Fatalf("epsilon not adopted on reopen: %v", reopened.Epsilon())
@@ -289,13 +292,22 @@ func TestShardEquivalenceDurable(t *testing.T) {
 		return reopened
 	}
 
-	oracle := runStore(t, 1)
-	for _, n := range equivShardCounts[1:] {
+	oracleFS := vfs.NewMemFS()
+	oracle := runStore(t, func(o Options) (equivDB, error) {
+		return openRef("store", o, oracleFS)
+	}).(*refDB)
+	for _, n := range equivShardCounts {
 		n := n
 		t.Run(shardName(n), func(t *testing.T) {
-			sharded := runStore(t, n)
-			if len(sharded.sub) != n {
-				t.Fatalf("reopen recovered %d shards, want %d", len(sharded.sub), n)
+			fsys := vfs.NewMemFS()
+			shards := n // the first open creates n shards; the reopen adopts them
+			sharded := runStore(t, func(o Options) (equivDB, error) {
+				o.Shards, shards = shards, 0
+				o.Durable = &DurableOptions{FS: fsys}
+				return OpenDurable("store", o)
+			}).(*DB)
+			if len(sharded.shards) != n {
+				t.Fatalf("reopen recovered %d shards, want %d", len(sharded.shards), n)
 			}
 			checkEquiv(t, oracle, sharded, queries, 8)
 		})
@@ -312,7 +324,7 @@ func TestShardEquivalenceDurable(t *testing.T) {
 func TestShardEquivalencePreFilterOff(t *testing.T) {
 	videos := ingestCorpus(87, 40)
 	queries := equivQueries(6)
-	oracle := New(Options{Epsilon: 0.3, Seed: 7})
+	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
 	equivApply(t, oracle, videos)
 	configs := []struct {
 		name string
@@ -343,6 +355,85 @@ func TestShardEquivalencePreFilterOff(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestShardRebuildEmpty pins Rebuild's empty-database contract across the
+// shard matrix: ErrEmptyDB exactly when every shard is empty — the rule
+// scatter applies to searches — and success as soon as one shard holds a
+// video, however many siblings are still empty.
+func TestShardRebuildEmpty(t *testing.T) {
+	videos := ingestCorpus(88, 1)
+	for _, n := range equivShardCounts {
+		n := n
+		t.Run(shardName(n), func(t *testing.T) {
+			db := New(Options{Epsilon: 0.3, Seed: 7, Shards: n})
+			if err := db.Rebuild(); !errors.Is(err, ErrEmptyDB) {
+				t.Fatalf("Rebuild on an empty database: %v, want ErrEmptyDB", err)
+			}
+			if _, _, err := db.SearchSummary(&equivQueries(1)[0], 3, Composed); !errors.Is(err, ErrEmptyDB) {
+				t.Fatalf("search on an empty database: %v, want ErrEmptyDB", err)
+			}
+			if err := db.Add(videos[0].ID, videos[0].Frames); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Rebuild(); err != nil {
+				t.Fatalf("Rebuild with one video: %v", err)
+			}
+		})
+	}
+}
+
+// TestOneShardAggregatesExact: at one shard every aggregate the router
+// computes must be the lone engine's own answer bit-for-bit — a mean of
+// one value, a sum of one term and a max of one element are that value.
+// LeafFill is the sharp one (a weighted mean formed as
+// Σ(fill·leaves)/Σleaves is not guaranteed to round-trip in float64), so
+// the corpus sizes span one-leaf and multi-leaf trees.
+func TestOneShardAggregatesExact(t *testing.T) {
+	for _, size := range []int{7, 19, 48, 90} {
+		dopts := DurableOptions{FS: vfs.NewMemFS()}
+		db, err := OpenDurable("store", Options{Epsilon: 0.3, Seed: 7, Durable: &dopts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		equivApply(t, db, ingestCorpus(89, size))
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		e := db.shards[0]
+
+		want, err := e.stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || math.Float64bits(got.LeafFill) != math.Float64bits(want.LeafFill) {
+			t.Errorf("size %d: Stats = %+v, engine %+v", size, got, want)
+		}
+		if got, want := math.Float64bits(db.DriftAngle()), math.Float64bits(e.driftAngle()); got != want {
+			t.Errorf("size %d: DriftAngle bits %x, engine %x", size, got, want)
+		}
+		if got, want := db.PagerStats(), e.pagerStats(); got != want {
+			t.Errorf("size %d: PagerStats = %+v, engine %+v", size, got, want)
+		}
+		wantDur := DurabilityStats{
+			Enabled:         true,
+			Dir:             "store",
+			SnapshotSeq:     e.dur.snapLastSeq,
+			SnapshotVersion: e.dur.snapVersion,
+			Checkpoints:     1,
+			Journal:         e.dur.wal.Stats(),
+		}
+		if got := db.DurabilityStats(); !reflect.DeepEqual(got, wantDur) {
+			t.Errorf("size %d: DurabilityStats = %+v, engine %+v", size, got, wantDur)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -12,9 +12,11 @@ import (
 // by id first, so the mapper's reference point and the packed tree
 // depend only on the set) and the canonical similarity fold; the tests
 // here drive permuted insertion orders and mixed ingest paths through
-// single-shard and sharded databases and require bit-identical rankings
+// one-shard and sharded databases and require bit-identical rankings
 // AND identical PageReads — the paper's headline I/O metric must not
-// wobble with ingest history.
+// wobble with ingest history. Each test's canonical build is first
+// pinned to a bare engine holding the same videos (checkAgainstRef), so
+// the property is anchored outside the router.
 
 // permuted returns videos reordered by the permutation seed.
 func permuted(videos []Video, seed int64) []Video {
@@ -54,6 +56,20 @@ func buildVariant(t *testing.T, videos []Video, shards int, path string) *DB {
 	return db
 }
 
+// buildRef loads videos into the bare-engine reference with one batch and
+// forces the bulk index build.
+func buildRef(t *testing.T, videos []Video) *refDB {
+	t.Helper()
+	ref := newRef(Options{Epsilon: 0.3, Seed: 7})
+	if _, err := ref.AddBatch(videos); err != nil {
+		t.Fatalf("reference AddBatch: %v", err)
+	}
+	if err := ref.e.build(); err != nil {
+		t.Fatalf("reference build: %v", err)
+	}
+	return ref
+}
+
 // TestShardMetamorphicInsertionOrder: at shard counts 1 and 3, every
 // permutation of the ingest order and every ingest path yields a
 // database whose searches are bit-identical to the reference build —
@@ -65,6 +81,7 @@ func TestShardMetamorphicInsertionOrder(t *testing.T) {
 		shards := shards
 		t.Run(shardName(shards), func(t *testing.T) {
 			ref := buildVariant(t, videos, shards, "batch")
+			checkAgainstRef(t, buildRef(t, videos), ref, shards, queries, 8)
 			refBytes := storeBytes(t, ref)
 			type variant struct {
 				name   string
@@ -117,6 +134,7 @@ func TestShardMetamorphicPreFilterNeutral(t *testing.T) {
 		shards := shards
 		t.Run(shardName(shards), func(t *testing.T) {
 			ref := buildVariant(t, videos, shards, "batch")
+			checkAgainstRef(t, buildRef(t, videos), ref, shards, queries, 8)
 			off := New(Options{Epsilon: 0.3, Seed: 7, Shards: shards, DisablePreFilter: true, UnquantizedPages: true})
 			for _, v := range permuted(videos, 4) {
 				if err := off.Add(v.ID, v.Frames); err != nil {
@@ -170,6 +188,7 @@ func TestShardMetamorphicRemovalNeutral(t *testing.T) {
 		shards := shards
 		t.Run(shardName(shards), func(t *testing.T) {
 			ref := buildVariant(t, videos, shards, "batch")
+			checkAgainstRef(t, buildRef(t, videos), ref, shards, queries, 8)
 			churned := buildVariant(t, videos, shards, "batch")
 			for _, v := range extra {
 				if err := churned.Add(v.ID, v.Frames); err != nil {

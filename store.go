@@ -43,34 +43,23 @@ func (db *DB) saveFS(fsys vfs.FS, path string) error {
 	return nil
 }
 
-// summaries snapshots the database contents. On a sharded database the
-// snapshot is one consistent cross-shard view (taken under the exclusive
-// view lock, so no batch is captured half-applied), concatenated and
-// returned in VideoID order — the order every store format and the
-// single-shard engine's Summaries already use.
+// summaries snapshots the database contents as one consistent cross-shard
+// view (taken under the exclusive view lock, so no batch is captured
+// half-applied), concatenated and returned in VideoID order — the order
+// every store format uses.
 func (db *DB) summaries() ([]core.Summary, error) {
-	if db.sub != nil {
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		var out []core.Summary
-		for i := 0; i < len(db.sub); i++ {
-			ss, err := db.sub[i].summaries()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ss...)
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	var out []core.Summary
+	for _, e := range db.shards {
+		ss, err := e.summaries()
+		if err != nil {
+			return nil, err
 		}
-		storefmt.SortSummaries(out)
-		return out, nil
+		out = append(out, ss...)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.ix == nil {
-		out := make([]core.Summary, len(db.pending))
-		copy(out, db.pending)
-		return out, nil
-	}
-	return db.ix.Summaries()
+	storefmt.SortSummaries(out)
+	return out, nil
 }
 
 // Load reads a database saved with Save (v1) or checkpointed by a
@@ -115,14 +104,9 @@ func readSummaries(r io.Reader) (float64, []core.Summary, error) {
 // removal is journaled and Remove returns only once the record is
 // fsynced to disk.
 func (db *DB) Remove(videoID int) error {
-	if db.sub != nil {
-		if err := db.removeSharded(videoID); err != nil {
-			return err
-		}
-		db.dropTemporal(videoID)
-		return nil
-	}
-	dur, seq, err := db.removeApply(videoID)
+	db.viewMu.RLock()
+	dur, seq, err := db.home(videoID).removeApply(videoID)
+	db.viewMu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -130,52 +114,5 @@ func (db *DB) Remove(videoID int) error {
 		return err
 	}
 	db.dropTemporal(videoID)
-	return nil
-}
-
-// removeApply is Remove's apply phase — journal then apply under one
-// db.mu hold — returning the commit ticket for the caller to
-// group-commit once every lock is released.
-func (db *DB) removeApply(videoID int) (*durableState, uint64, error) {
-	db.mu.Lock()
-	var seq uint64
-	err := func() error {
-		if !db.ids[videoID] {
-			return fmt.Errorf("%w: %d", ErrNotFound, videoID)
-		}
-		// Journal before applying: a removal has no cheap rollback. The
-		// apply below only fails on an index-internal error that already
-		// signals corruption, so the ordering's divergence window is moot.
-		var jerr error
-		if seq, jerr = db.journalRemoveLocked(videoID); jerr != nil {
-			return jerr
-		}
-		return db.removeLocked(videoID)
-	}()
-	dur := db.dur // snapshotted under the lock; see commitSeq
-	db.mu.Unlock()
-	return dur, seq, err
-}
-
-// removeLocked deletes a video from the in-memory state. Caller holds
-// the write lock.
-func (db *DB) removeLocked(videoID int) error {
-	if !db.ids[videoID] {
-		return fmt.Errorf("%w: %d", ErrNotFound, videoID)
-	}
-	if db.ix == nil {
-		for i := range db.pending {
-			if db.pending[i].VideoID == videoID {
-				db.pending = append(db.pending[:i], db.pending[i+1:]...)
-				break
-			}
-		}
-		delete(db.ids, videoID)
-		return nil
-	}
-	if err := db.ix.Remove(videoID); err != nil {
-		return err
-	}
-	delete(db.ids, videoID)
 	return nil
 }

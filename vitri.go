@@ -33,7 +33,6 @@ import (
 	"vitri/internal/index"
 	"vitri/internal/pager"
 	"vitri/internal/refpoint"
-	"vitri/internal/storefmt"
 	"vitri/internal/temporal"
 	"vitri/internal/vec"
 )
@@ -137,10 +136,12 @@ type Options struct {
 	// across every shard and merge the per-shard top-k. Results are
 	// byte-identical at every shard count (see shard_equiv_test.go); what
 	// changes is contention: shards multiply index, cache and fsync
-	// bandwidth. 0 or 1 selects the classic single-shard engine, whose
-	// behavior and on-disk layout are exactly those of earlier versions.
-	// A durable store's shard count is fixed at creation and recorded in
-	// its manifest; later opens must pass the same value or 0 to adopt it.
+	// bandwidth. 0 means 1: the same router over a single engine, whose
+	// durable store is the flat snapshot + journal directory of earlier
+	// versions (the one shard's directory is the store root, and a store
+	// of one has no manifest). A durable store's shard count is fixed at
+	// creation — recorded in its manifest when above 1 — and later opens
+	// must pass the same value or 0 to adopt it.
 	Shards int
 	// DisablePreFilter turns off the memory-resident signature tier that
 	// discards provably zero-shared candidates before the exact
@@ -159,46 +160,38 @@ type Options struct {
 // DB is a searchable video database. All methods are safe for concurrent
 // use.
 //
-// A DB is either a plain single-shard engine (sub nil — pending, ix, ids
-// and dur below are its state) or, when Options.Shards > 1, a shard
-// router: sub holds the per-shard engines and every public method routes,
-// scatters or aggregates across them. A router's own pending/ix/ids/dur
-// stay nil — its state is its children plus the view lock and, when
-// durable, the manifest bookkeeping in shdur.
+// A DB is a router over one or more shards, each a complete engine (its
+// own index, page store and — when durable — snapshot + journal).
+// Mutations route to a video's home shard by a stable hash of its id;
+// searches scatter to every shard and merge the per-shard top-k;
+// cross-shard reads aggregate under the view lock. Options.Shards 0 or 1
+// is the one-element case of the same paths, not a separate shape.
 type DB struct {
 	// ckptMu serializes checkpoints. It is level 0, the top of the lock
-	// hierarchy (checkpoint → shard-view → DB → Index → Tree → pager,
+	// hierarchy (checkpoint → shard-view → engine → Index → Tree → pager,
 	// enforced by vitrilint's lockorder): Checkpoint acquires ckptMu
-	// first and then takes viewMu/mu only for its short capture/finish
-	// critical sections — never acquire ckptMu while holding either.
+	// first and then takes viewMu and the engines' mu only for its short
+	// capture/finish critical sections — never acquire ckptMu while
+	// holding either.
 	ckptMu sync.Mutex
-	// viewMu (level 1, shard routers only) makes cross-shard reads
-	// consistent. Its roles are inverted from the usual convention:
-	// multi-shard mutations hold it SHARED for their whole apply window
-	// (they may proceed concurrently — per-shard db.mu serializes them
-	// where it matters), while cross-shard snapshot readers (Len,
-	// Triplets, DriftAngle, Save) and the checkpoint capture hold it
-	// EXCLUSIVELY, so they observe every batch fully applied or not at
-	// all — never a batch torn across shards. Never held across an fsync.
+	// viewMu (level 1) makes cross-shard reads consistent. Its roles are
+	// inverted from the usual convention: mutations hold it SHARED for
+	// their whole apply window (they may proceed concurrently — each
+	// shard's engine.mu serializes them where it matters), while
+	// cross-shard snapshot readers (Len, Triplets, DriftAngle, Stats,
+	// Save) and the checkpoint capture hold it EXCLUSIVELY, so they
+	// observe every batch fully applied or not at all — never a batch
+	// torn across shards. Never held across an fsync.
 	viewMu sync.RWMutex
-	mu     sync.RWMutex
 	opts   Options // immutable after New
-	// sub holds the per-shard engines of a shard router (nil on a plain
-	// database). immutable after New
-	sub []*DB
-	// shdur is the shard router's durable bookkeeping: the manifest path
-	// and checkpoint epoch. Non-nil only on routers returned by
+	// shards holds the engines, at least one. A video lives in
+	// shards[shard.Route(id, len(shards))]. immutable after New
+	shards []*engine
+	// store is the durable store's router-level bookkeeping: the root
+	// directory, the manifest (when the store has one) and the
+	// checkpoint count. Non-nil only on databases returned by
 	// OpenDurable. immutable after OpenDurable
-	shdur *shardDur
-	// pending holds summaries added before the index exists; the index
-	// is built lazily on the first search (bulk construction beats
-	// repeated insertion).
-	pending []core.Summary // guarded by mu
-	ix      *index.Index   // guarded by mu
-	ids     map[int]bool   // guarded by mu
-	// dur is non-nil on databases opened with OpenDurable: mutations are
-	// journaled under mu and group-committed (fsynced) after release.
-	dur *durableState // guarded by mu
+	store *storeState
 
 	// tempoMu guards tsigs, the temporal-signature registry SearchTemporal
 	// reranks with. It is a leaf lock outside the engine hierarchy: it is
@@ -210,30 +203,20 @@ type DB struct {
 	// frames (Add/AddBatch) on this handle. Videos loaded as bare
 	// summaries or recovered from a durable store have no frames to
 	// derive order from; they simply keep their order-blind score when
-	// reranked (see SearchTemporal). Lives on the top-level DB — a shard
-	// router keeps one registry for all shards, since frames are only
-	// seen before routing. guarded by tempoMu
+	// reranked (see SearchTemporal). One registry serves every shard,
+	// since frames are only seen before routing. guarded by tempoMu
 	tsigs map[int]*temporal.Signature
 
-	// Test hooks, nil outside tests and set before any checkpoint runs
-	// (read without synchronization). The crash and equivalence suites
-	// use them to run mutations inside a checkpoint's unlocked windows:
-	// after the capture but before the snapshot write, and after the
-	// write but before the journal rotation.
-	testBeforeSnapshotWrite func() // immutable once serving
-	testBeforeRotate        func() // immutable once serving
-	// testDropRetainedSuffix reverts Checkpoint to the pre-retained
-	// rotate-to-empty. The crash suite flips it to prove the retained-
-	// suffix rotation is load-bearing: with it, mid-checkpoint crash
-	// states lose acknowledged mutations.
-	testDropRetainedSuffix bool // immutable once serving
-	// testNonAtomicManifest makes the sharded checkpoint overwrite the
-	// manifest in place instead of via temp file + rename. The crash
-	// suite flips it to prove the manifest commit's atomicity is
-	// load-bearing: with it, a power cut mid-write leaves the store
-	// unopenable.
+	// Test hooks, unset outside tests and set before any checkpoint or
+	// batch runs (read without synchronization); the per-shard checkpoint
+	// window hooks live on engine.
+	//
+	// testNonAtomicManifest makes the checkpoint overwrite the manifest
+	// in place instead of via temp file + rename. The crash suite flips
+	// it to prove the manifest commit's atomicity is load-bearing: with
+	// it, a power cut mid-write leaves the store unopenable.
 	testNonAtomicManifest bool // immutable once serving
-	// testBetweenShardApplies, when set, serializes a sharded AddBatch's
+	// testBetweenShardApplies, when set, serializes an AddBatch's
 	// per-shard applies and runs between them — inside the window where a
 	// batch is torn across shards. The view-lock regression test uses it
 	// to prove Len cannot observe that window.
@@ -242,23 +225,17 @@ type DB struct {
 
 // New creates an empty database. It panics if opts.Epsilon is not
 // positive — a database without a similarity threshold is meaningless.
-// With opts.Shards > 1 the database is a shard router over that many
-// independent engines; see Options.Shards.
+// opts.Shards sets the number of independent engines the database routes
+// across (0 means 1); see Options.Shards.
 func New(opts Options) *DB {
 	if opts.Epsilon <= 0 {
 		panic("vitri: Options.Epsilon must be positive")
 	}
-	if opts.Shards > 1 {
-		db := &DB{opts: opts}
-		copts := opts
-		copts.Shards = 0
-		copts.Durable = nil // durability is wired per shard by OpenDurable
-		for i := 0; i < opts.Shards; i++ {
-			db.sub = append(db.sub, New(copts))
-		}
-		return db
+	db := &DB{opts: opts}
+	for i := 0; i < max(opts.Shards, 1); i++ {
+		db.shards = append(db.shards, newEngine(opts))
 	}
-	return &DB{opts: opts, ids: make(map[int]bool)}
+	return db
 }
 
 // Summarize builds a video's ViTri summary: frames are clustered with the
@@ -305,113 +282,16 @@ func (db *DB) Add(videoID int, frames []Vector) error {
 // from storage). On a durable database the summary is journaled and
 // AddSummary returns only once the record is fsynced to disk.
 func (db *DB) AddSummary(s Summary) error {
-	if db.sub != nil {
-		return db.addSummarySharded(s)
-	}
-	dur, seq, err := db.addSummaryApply(s)
+	// The apply runs under a shared view-lock hold (consistent with batch
+	// applies; see DB.viewMu), the group commit after every lock is
+	// released.
+	db.viewMu.RLock()
+	dur, seq, err := db.home(s.VideoID).addSummaryApply(s)
+	db.viewMu.RUnlock()
 	if err != nil {
 		return err
 	}
 	return dur.commitSeq(seq)
-}
-
-// addSummaryApply is AddSummary's apply phase: validate, apply in memory
-// and journal, all under one db.mu hold, returning the commit ticket (the
-// durable state snapshotted under the lock plus the journaled sequence)
-// so the caller can group-commit after every lock — including a shard
-// router's view lock — has been released.
-func (db *DB) addSummaryApply(s Summary) (*durableState, uint64, error) {
-	db.mu.Lock()
-	err := db.addSummaryLocked(s)
-	var seq uint64
-	if err == nil {
-		// Journal under the same lock that ordered the in-memory apply, so
-		// journal order always matches memory order; the fsync happens
-		// outside the lock (commitSeq) and batches across goroutines.
-		if seq, err = db.journalAddLocked(&s); err != nil {
-			db.rollbackAddLocked(s.VideoID)
-		}
-	}
-	if err == nil {
-		err = db.maybeRebuildLocked()
-	}
-	dur := db.dur // snapshotted under the lock; see commitSeq
-	db.mu.Unlock()
-	return dur, seq, err
-}
-
-// rollbackAddLocked undoes an addSummaryLocked whose journal append
-// failed. Caller holds the write lock.
-func (db *DB) rollbackAddLocked(videoID int) {
-	//lint:ignore droppederr rollback of an apply that just succeeded; the original journal error is surfaced
-	db.removeLocked(videoID)
-}
-
-// addSummaryLocked validates and stores one summary. Caller holds the
-// write lock; the drift policy is the caller's responsibility so batch
-// loads can evaluate it once.
-func (db *DB) addSummaryLocked(s Summary) error {
-	if s.VideoID < 0 {
-		return fmt.Errorf("vitri: negative video id %d", s.VideoID)
-	}
-	if len(s.Triplets) == 0 {
-		return fmt.Errorf("vitri: video %d has an empty summary", s.VideoID)
-	}
-	if db.ids[s.VideoID] {
-		return fmt.Errorf("%w %d", ErrDuplicateID, s.VideoID)
-	}
-	if db.ix == nil {
-		db.pending = append(db.pending, s)
-		db.ids[s.VideoID] = true
-		return nil
-	}
-	if err := db.ix.Insert(s); err != nil {
-		return err
-	}
-	db.ids[s.VideoID] = true
-	return nil
-}
-
-// ensureIndexLocked builds the index from pending summaries. Caller holds
-// the write lock.
-func (db *DB) ensureIndexLocked() error {
-	if db.ix != nil {
-		return nil
-	}
-	if len(db.pending) == 0 {
-		return ErrEmptyDB
-	}
-	// Bulk-build from a canonical (VideoID-ascending) order: the mapper's
-	// reference point and the packed tree then depend only on the set of
-	// summaries, not the insertion sequence, which is what makes permuted
-	// ingest orders — and shard routing, which permutes per-shard ingest
-	// order — produce byte-identical indexes and PageReads.
-	storefmt.SortSummaries(db.pending)
-	ix, err := index.Build(db.pending, index.Options{
-		Epsilon:           db.opts.Epsilon,
-		RefKind:           db.opts.RefKind,
-		Partitions:        db.opts.Partitions,
-		NewPager:          db.opts.NewPager,
-		SearchParallelism: db.opts.SearchParallelism,
-		DisableSignatures: db.opts.DisablePreFilter,
-		UnquantizedLeaves: db.opts.UnquantizedPages,
-	})
-	if err != nil {
-		return err
-	}
-	db.ix = ix
-	db.pending = nil
-	return nil
-}
-
-// maybeRebuildLocked applies the drift policy. Caller holds the write
-// lock.
-func (db *DB) maybeRebuildLocked() error {
-	if db.opts.MaxDriftAngle <= 0 || db.ix == nil {
-		return nil
-	}
-	_, err := db.ix.RebuildIfDrifted(db.opts.MaxDriftAngle)
-	return err
 }
 
 // Search summarizes the query frames and returns the k most similar
@@ -427,170 +307,97 @@ func (db *DB) Search(frames []Vector, k int) ([]Match, error) {
 
 // SearchSummary runs a KNN query for a pre-summarized video in the given
 // mode, returning the matches and the query's work statistics. Stats are
-// attributed per query and exact under concurrent searches; on a sharded
-// database they are the exact sum of the per-shard counters.
+// attributed per query and exact under concurrent searches: the exact sum
+// of the per-shard counters.
 func (db *DB) SearchSummary(q *Summary, k int, mode QueryMode) ([]Match, SearchStats, error) {
-	if db.sub != nil {
-		return db.scatterSearch(q, k, mode, 0, true)
-	}
-	return db.searchSummaryP(q, k, mode, 0)
-}
-
-// searchSummaryP runs one query on this engine with an explicit
-// intra-query parallelism override (0 = the configured default).
-func (db *DB) searchSummaryP(q *Summary, k int, mode QueryMode, parallelism int) ([]Match, SearchStats, error) {
-	ix, err := db.index()
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	return ix.SearchParallel(q, k, mode, parallelism)
+	return db.scatter(k, true, func(e *engine) ([]Match, SearchStats, error) {
+		return e.searchSummaryP(q, k, mode, 0)
+	})
 }
 
 // BatchResult is one query's outcome in a SearchBatch call.
 type BatchResult = index.BatchItem
 
-// SearchBatch runs many pre-summarized queries through a bounded worker
-// pool (Options.SearchParallelism workers) and returns one BatchResult
-// per query, in input order. It only fails as a whole when the database
-// is empty; per-query failures land in the corresponding slot.
+// SearchBatch pipelines many pre-summarized queries through a bounded
+// worker pool (Options.SearchParallelism workers; GOMAXPROCS when <= 0)
+// and returns one BatchResult per query, in input order. Each query runs
+// sequentially inside its worker — shard after shard, range after range —
+// so concurrency lives at the query grain where it pays, not in nested
+// pools. It only fails as a whole when the database is empty; per-query
+// failures land in the corresponding slot.
 func (db *DB) SearchBatch(queries []Summary, k int, mode QueryMode) ([]BatchResult, error) {
-	if db.sub != nil {
-		return db.searchBatchSharded(queries, k, mode)
-	}
-	ix, err := db.index()
-	if err != nil {
+	// Force lazy index builds now so per-query work starts from a built
+	// index.
+	if err := db.forceBuild(); err != nil {
 		return nil, err
 	}
-	return ix.SearchBatch(queries, k, mode), nil
+	return index.SearchBatch(len(queries), db.opts.SearchParallelism, func(i int) BatchResult {
+		res, stats, err := db.scatter(k, false, func(e *engine) ([]Match, SearchStats, error) {
+			return e.searchSummaryP(&queries[i], k, mode, 1)
+		})
+		return BatchResult{Results: res, Stats: stats, Err: err}
+	}), nil
 }
 
-// index returns the live index, building it from pending summaries on
-// first use. The common case — the index already exists — takes only a
-// read lock, so concurrent searches never serialize on the DB mutex.
-func (db *DB) index() (*index.Index, error) {
-	db.mu.RLock()
-	ix := db.ix
-	db.mu.RUnlock()
-	if ix != nil {
-		return ix, nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.ensureIndexLocked(); err != nil {
-		return nil, err
-	}
-	return db.ix, nil
-}
-
-// Len returns the number of videos in the database. On a sharded
-// database the count is one consistent cross-shard snapshot: a
-// concurrent AddBatch is counted fully or not at all, never partially.
+// Len returns the number of videos in the database, from one consistent
+// cross-shard snapshot: a concurrent AddBatch is counted fully or not at
+// all, never partially.
 func (db *DB) Len() int {
-	if db.sub != nil {
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		n := 0
-		for _, sh := range db.sub {
-			n += sh.Len()
-		}
-		return n
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	n := 0
+	for _, e := range db.shards {
+		n += e.len()
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.ids)
+	return n
 }
 
-// Triplets returns the number of indexed ViTri records (0 before the
-// index is first built). Sharded databases report one consistent
-// cross-shard snapshot, like Len.
+// Triplets returns the number of ViTri records the database holds, from
+// one consistent cross-shard snapshot, like Len.
 func (db *DB) Triplets() int {
-	if db.sub != nil {
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		n := 0
-		for _, sh := range db.sub {
-			n += sh.Triplets()
-		}
-		return n
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	n := 0
+	for _, e := range db.shards {
+		n += e.triplets()
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.ix == nil {
-		n := 0
-		for i := range db.pending {
-			n += len(db.pending[i].Triplets)
-		}
-		return n
-	}
-	return db.ix.Len()
+	return n
 }
 
 // DriftAngle reports the current principal-direction drift in radians
-// (0 before the index exists or for non-Optimal reference points). A
-// sharded database reports the worst (largest) drift across its shards,
-// from one consistent cross-shard snapshot.
+// (0 before the index exists or for non-Optimal reference points): the
+// worst (largest) drift across the shards, from one consistent
+// cross-shard snapshot.
 func (db *DB) DriftAngle() float64 {
-	if db.sub != nil {
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		var worst float64
-		for _, sh := range db.sub {
-			if a := sh.DriftAngle(); a > worst {
-				worst = a
-			}
-		}
-		return worst
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	worst := db.shards[0].driftAngle()
+	for _, e := range db.shards[1:] {
+		worst = max(worst, e.driftAngle())
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.ix == nil {
-		return 0
-	}
-	return db.ix.DriftAngle()
+	return worst
 }
 
 // Rebuild re-derives the reference point from current contents and
-// reconstructs the index. On a sharded database every non-empty shard
-// rebuilds its own index.
+// reconstructs the index; every non-empty shard rebuilds its own.
+// ErrEmptyDB when the database holds nothing.
 func (db *DB) Rebuild() error {
-	if db.sub != nil {
-		db.viewMu.RLock()
-		defer db.viewMu.RUnlock()
-		for _, sh := range db.sub {
-			if err := sh.Rebuild(); err != nil && !errors.Is(err, ErrEmptyDB) {
-				return err
-			}
-		}
-		return nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.ensureIndexLocked(); err != nil {
-		return err
-	}
-	return db.ix.Rebuild()
+	db.viewMu.RLock()
+	defer db.viewMu.RUnlock()
+	return db.eachNonEmpty((*engine).rebuild)
 }
 
 // PagerStats returns physical page I/O counters of the index's page
-// store (zeroes before the index exists), summed across shards on a
-// sharded database.
+// stores (zeroes before an index exists), summed across shards.
 func (db *DB) PagerStats() pager.Stats {
-	if db.sub != nil {
-		var agg pager.Stats
-		for _, sh := range db.sub {
-			ps := sh.PagerStats()
-			agg.Reads += ps.Reads
-			agg.Writes += ps.Writes
-			agg.Allocs += ps.Allocs
-		}
-		return agg
+	var agg pager.Stats
+	for _, e := range db.shards {
+		ps := e.pagerStats()
+		agg.Reads += ps.Reads
+		agg.Writes += ps.Writes
+		agg.Allocs += ps.Allocs
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.ix == nil {
-		return pager.Stats{}
-	}
-	return db.ix.PagerStats()
+	return agg
 }
 
 // Epsilon returns the database's frame similarity threshold.
@@ -601,40 +408,21 @@ func (db *DB) Epsilon() float64 { return db.opts.Epsilon }
 func (db *DB) Seed() int64 { return db.opts.Seed }
 
 // Close releases the database's index resources, closing the underlying
-// page store, and — on a durable database — flushes and closes the
-// journal. Operations after Close fail with the pager's ErrClosed;
-// callers serving concurrent traffic must drain in-flight searches first
-// (see internal/server's lifecycle). Close is idempotent and returns nil
-// on a database whose index was never built. Closing a sharded database
-// closes every shard, returning the first failure.
+// page stores, and — on a durable database — flushes and closes the
+// journals; the database reports Durable() == false from then on.
+// Operations after Close fail with the pager's ErrClosed; callers serving
+// concurrent traffic must drain in-flight searches first (see
+// internal/server's lifecycle). Close is idempotent and returns nil on a
+// database whose index was never built. Every shard is closed; the first
+// failure is returned.
 func (db *DB) Close() error {
-	if db.sub != nil {
-		var first error
-		for _, sh := range db.sub {
-			if err := sh.Close(); err != nil && first == nil {
-				first = err
-			}
+	var first error
+	for _, e := range db.shards {
+		if err := e.close(); err != nil && first == nil {
+			first = err
 		}
-		return first
 	}
-	db.mu.Lock()
-	dur := db.dur
-	db.dur = nil
-	var ierr error
-	if db.ix != nil {
-		ierr = db.ix.Close()
-	}
-	db.mu.Unlock()
-	var jerr error
-	if dur != nil {
-		// The journal fsyncs on Close; do it outside db.mu so a slow
-		// sync cannot stall readers racing the shutdown.
-		jerr = dur.wal.Close()
-	}
-	if ierr != nil {
-		return ierr
-	}
-	return jerr
+	return first
 }
 
 // IndexStats describes the physical shape of the database's B+-tree.
@@ -647,47 +435,41 @@ type IndexStats struct {
 }
 
 // Stats returns the index's physical shape (zero value before the index
-// has been built). A sharded database aggregates its per-shard trees:
-// node and entry counts sum, Height is the tallest shard's, LeafFill is
-// the leaf-count-weighted mean.
+// has been built), aggregated over the per-shard trees under one
+// consistent cross-shard snapshot: node and entry counts sum, Height is
+// the tallest shard's, LeafFill is the leaf-count-weighted mean.
 func (db *DB) Stats() (IndexStats, error) {
-	if db.sub != nil {
-		return db.statsSharded()
+	db.viewMu.Lock()
+	defer db.viewMu.Unlock()
+	var agg IndexStats
+	for _, e := range db.shards {
+		st, err := e.stats()
+		if err != nil {
+			return IndexStats{}, err
+		}
+		agg.Height = max(agg.Height, st.Height)
+		agg.InternalNodes += st.InternalNodes
+		agg.Entries += st.Entries
+		if st.LeafNodes == 0 {
+			continue
+		}
+		// Running weighted mean, mean += (x-mean)·w/W. The weight ratio is
+		// formed first so that a lone shard's fill survives bit-for-bit:
+		// w/W is exactly 1 there, where Σ(fill·leaves)/Σleaves would round.
+		agg.LeafNodes += st.LeafNodes
+		agg.LeafFill += (st.LeafFill - agg.LeafFill) * (float64(st.LeafNodes) / float64(agg.LeafNodes))
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.ix == nil {
-		return IndexStats{}, nil
-	}
-	ts, err := db.ix.TreeStats()
-	if err != nil {
-		return IndexStats{}, err
-	}
-	return IndexStats{
-		Height:        ts.Height,
-		InternalNodes: ts.InternalNodes,
-		LeafNodes:     ts.LeafNodes,
-		Entries:       ts.Entries,
-		LeafFill:      ts.LeafFill,
-	}, nil
+	return agg, nil
 }
 
 // CheckIndex verifies the index's structural invariants (for diagnostics
-// and tests). A nil error means the B+-tree is internally consistent; a
-// sharded database checks every shard's tree.
+// and tests). A nil error means every shard's B+-tree is internally
+// consistent.
 func (db *DB) CheckIndex() error {
-	if db.sub != nil {
-		for i, sh := range db.sub {
-			if err := sh.CheckIndex(); err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
+	for i, e := range db.shards {
+		if err := e.checkIndex(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		return nil
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.ix == nil {
-		return nil
-	}
-	return db.ix.CheckTree()
+	return nil
 }
