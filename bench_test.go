@@ -396,38 +396,9 @@ func BenchmarkIndexedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallelism compares sequential and pooled execution of
-// one KNN query's disjoint range scans. Naive mode has one scan per query
-// triplet and parallelizes well; composed mode often merges everything
-// into a handful of intervals, which bounds its fan-out. Speedup requires
-// GOMAXPROCS > 1; results are byte-identical at every width.
-func BenchmarkSearchParallelism(b *testing.B) {
-	sums, err := dataset.GenerateSummaries(dataset.DefaultSummaryConfig(20000, 10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := index.Build(sums, index.Options{Epsilon: 0.3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	q := dataset.QuerySummary(&sums[rng.Intn(len(sums))], 30_000_000, 0.01, rng)
-	for _, mode := range []index.Mode{index.Naive, index.Composed} {
-		for _, par := range []int{1, 2, 4, 8} {
-			b.Run(fmtF("%s/par=%d", mode, par), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := ix.SearchParallel(&q, 50, mode, par); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAddBatch measures end-to-end batch ingest — parallel
-// summarization plus the ordered single-lock merge — at several
-// worker-pool widths. Speedup requires GOMAXPROCS > 1; the resulting
+// summarization plus the ordered single-lock merge. The worker pool is
+// GOMAXPROCS wide, so compare widths with -cpu 1,2,4,8; the resulting
 // database is byte-identical at every width (see TestAddBatchMatches-
 // SequentialAdd).
 func BenchmarkAddBatch(b *testing.B) {
@@ -445,28 +416,26 @@ func BenchmarkAddBatch(b *testing.B) {
 		}
 		videos[v] = Video{ID: v, Frames: frames}
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmtF("parallelism=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				db := New(Options{Epsilon: 0.3, Seed: 1, IngestParallelism: par})
-				itemErrs, err := db.AddBatch(videos)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range itemErrs {
-					if e != nil {
-						b.Fatal(e)
-					}
-				}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := New(Options{Epsilon: 0.3, Seed: 1})
+		itemErrs, err := db.AddBatch(videos)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range itemErrs {
+			if e != nil {
+				b.Fatal(e)
 			}
-			b.ReportMetric(float64(len(videos))*float64(b.N)/b.Elapsed().Seconds(), "videos/sec")
-		})
+		}
 	}
+	b.ReportMetric(float64(len(videos))*float64(b.N)/b.Elapsed().Seconds(), "videos/sec")
 }
 
-// BenchmarkSearchBatch compares a sequential query loop against the
-// SearchBatch worker pool at several widths (throughput workload).
+// BenchmarkSearchBatch measures the SearchBatch worker pool (throughput
+// workload). The pool is GOMAXPROCS wide: -cpu 1 is the sequential query
+// loop, -cpu 1,2,4,8 the comparison across widths.
 func BenchmarkSearchBatch(b *testing.B) {
 	sums, err := dataset.GenerateSummaries(dataset.DefaultSummaryConfig(20000, 10))
 	if err != nil {
@@ -477,25 +446,25 @@ func BenchmarkSearchBatch(b *testing.B) {
 	for i := range queries {
 		queries[i] = dataset.QuerySummary(&sums[rng.Intn(len(sums))], 30_000_000+i, 0.01, rng)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		db := New(Options{Epsilon: 0.3, SearchParallelism: par})
-		for i := range sums {
-			if err := db.AddSummary(sums[i]); err != nil {
-				b.Fatal(err)
+	db := New(Options{Epsilon: 0.3})
+	for i := range sums {
+		if err := db.AddSummary(sums[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.forceBuild(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		items, err := db.SearchBatch(queries, 50, Composed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, item := range items {
+			if item.Err != nil {
+				b.Fatal(item.Err)
 			}
 		}
-		b.Run(fmtF("par=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				items, err := db.SearchBatch(queries, 50, Composed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, item := range items {
-					if item.Err != nil {
-						b.Fatal(item.Err)
-					}
-				}
-			}
-		})
 	}
 }

@@ -5,52 +5,63 @@
 //
 //	vitribench [flags] [experiment ...]
 //
-// Experiments: table2 table3 fig14 fig15 fig16 fig17 fig18 fig19 parallel
-// ingest checkpoint shard prefilter search serve (default: all but
-// ingest, checkpoint, shard, prefilter, search and serve, in paper
-// order).
+// With no experiment named the whole suite runs in paper order;
+// vitribench -h lists the names.
 //
 // Examples:
 //
 //	vitribench                       # full suite at laptop scale
 //	vitribench -scale 0.1 fig14      # one experiment, bigger corpus
 //	vitribench -paper                # paper-scale settings (slow)
-//	vitribench -parallel 8 parallel  # sequential vs 8-worker query engine
-//	vitribench ingest                # AddBatch throughput by worker count
-//	vitribench checkpoint            # mutation latency during checkpoints
-//	vitribench shard                 # sharded engine throughput + equivalence
-//	vitribench prefilter             # signature tier + quantized pages vs exact baseline
-//	vitribench search                # default-engine per-query search profile
-//	vitribench serve                 # HTTP load over all three query workloads
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"vitri/internal/experiments"
 	"vitri/internal/metrics"
 )
 
+var runners = map[string]func(experiments.Config) ([]*metrics.Table, error){
+	"table2":    experiments.Table2,
+	"table3":    experiments.Table3,
+	"fig14":     experiments.Figure14,
+	"fig15":     experiments.Figure15,
+	"fig16":     experiments.Figure16,
+	"fig17":     experiments.Figure17,
+	"fig18":     experiments.Figure18,
+	"fig19":     experiments.Figure19,
+	"extension": experiments.ExtensionSummaries,
+}
+
+// experimentNames lists the runnable experiments, sorted.
+func experimentNames() string {
+	names := make([]string, 0, len(runners))
+	for n := range runners {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, " ")
+}
+
 func main() {
 	var (
-		scale     = flag.Float64("scale", 0, "corpus scale relative to the paper's 6,587 clips (0 = config default)")
-		queries   = flag.Int("queries", 0, "number of queries to average over (0 = config default)")
-		k         = flag.Int("k", 0, "KNN result size (0 = config default)")
-		seed      = flag.Int64("seed", 1, "random seed for the whole suite")
-		paper     = flag.Bool("paper", false, "use paper-scale settings (slow)")
-		progress  = flag.Bool("progress", true, "print progress to stderr")
-		counts    = flag.String("vitris", "", "comma-separated ViTri counts for figures 16-17 (e.g. 20000,40000)")
-		parallel  = flag.Int("parallel", 0, "search worker-pool width for the parallel experiment (0 = GOMAXPROCS)")
-		ingestOut = flag.String("ingest-out", "BENCH_ingest.json", "JSON output path for the ingest experiment (empty = no file)")
-		ckptOut   = flag.String("checkpoint-out", "BENCH_checkpoint.json", "JSON output path for the checkpoint experiment (empty = no file)")
-		shardOut  = flag.String("shard-out", "BENCH_shard.json", "JSON output path for the shard experiment (empty = no file)")
-		prefOut   = flag.String("prefilter-out", "BENCH_prefilter.json", "JSON output path for the prefilter experiment (empty = no file)")
-		searchOut = flag.String("search-out", "BENCH_search.json", "JSON output path for the search experiment (empty = no file)")
-		serveOut  = flag.String("serve-out", "BENCH_serve.json", "JSON output path for the serve experiment (empty = no file)")
+		scale    = flag.Float64("scale", 0, "corpus scale relative to the paper's 6,587 clips (0 = config default)")
+		queries  = flag.Int("queries", 0, "number of queries to average over (0 = config default)")
+		k        = flag.Int("k", 0, "KNN result size (0 = config default)")
+		seed     = flag.Int64("seed", 1, "random seed for the whole suite")
+		paper    = flag.Bool("paper", false, "use paper-scale settings (slow)")
+		progress = flag.Bool("progress", true, "print progress to stderr")
+		counts   = flag.String("vitris", "", "comma-separated ViTri counts for figures 16-17 (e.g. 20000,40000)")
 	)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: vitribench [flags] [experiment ...]\nexperiments: %s\n", experimentNames())
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
@@ -77,42 +88,8 @@ func main() {
 			cfg.ViTriCounts = append(cfg.ViTriCounts, n)
 		}
 	}
-	if *parallel > 0 {
-		cfg.SearchParallelism = *parallel
-	}
 	if *progress {
 		cfg.Progress = os.Stderr
-	}
-
-	runners := map[string]func(experiments.Config) ([]*metrics.Table, error){
-		"table2":    experiments.Table2,
-		"table3":    experiments.Table3,
-		"fig14":     experiments.Figure14,
-		"fig15":     experiments.Figure15,
-		"fig16":     experiments.Figure16,
-		"fig17":     experiments.Figure17,
-		"fig18":     experiments.Figure18,
-		"fig19":     experiments.Figure19,
-		"parallel":  experiments.ParallelSearch,
-		"extension": experiments.ExtensionSummaries,
-		"ingest": func(cfg experiments.Config) ([]*metrics.Table, error) {
-			return runIngest(cfg, *ingestOut)
-		},
-		"checkpoint": func(experiments.Config) ([]*metrics.Table, error) {
-			return runCheckpoint(*ckptOut)
-		},
-		"shard": func(cfg experiments.Config) ([]*metrics.Table, error) {
-			return runShard(cfg, *shardOut)
-		},
-		"prefilter": func(cfg experiments.Config) ([]*metrics.Table, error) {
-			return runPrefilter(cfg, *prefOut)
-		},
-		"search": func(cfg experiments.Config) ([]*metrics.Table, error) {
-			return runSearch(cfg, *searchOut)
-		},
-		"serve": func(cfg experiments.Config) ([]*metrics.Table, error) {
-			return runServe(cfg, *serveOut)
-		},
 	}
 
 	names := flag.Args()
@@ -125,7 +102,7 @@ func main() {
 	for _, name := range names {
 		fn, ok := runners[strings.ToLower(name)]
 		if !ok {
-			fatalf("unknown experiment %q (have: table2 table3 fig14 fig15 fig16 fig17 fig18 fig19 parallel extension ingest checkpoint shard prefilter search serve)", name)
+			fatalf("unknown experiment %q (have: %s)", name, experimentNames())
 		}
 		tables, err := fn(cfg)
 		if err != nil {

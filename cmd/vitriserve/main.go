@@ -63,7 +63,6 @@ func main() {
 		dbPath      = flag.String("db", "", "summary store written by vitri Save (loads without re-summarizing)")
 		epsilon     = flag.Float64("epsilon", 0.3, "frame similarity threshold (ignored with -db: the store fixes it)")
 		seed        = flag.Int64("seed", 1, "summarization seed")
-		parallelism = flag.Int("parallelism", 0, "search parallelism (0 = GOMAXPROCS)")
 		cachePages  = flag.Int("cache", 1024, "LRU page-cache capacity in 4 KiB pages (0 = uncached)")
 		k           = flag.Int("k", 10, "default result count per query")
 		maxInflight = flag.Int("max-inflight", 64, "admission limit for /search, /insert and /remove")
@@ -72,9 +71,7 @@ func main() {
 		journalDir  = flag.String("journal", "", "durable store directory: mutations are journaled and fsynced; restarts recover snapshot+journal")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "fold the journal into a snapshot every N operations (0 = only on POST /checkpoint)")
 		ckptCool    = flag.Duration("checkpoint-cooldown", 30*time.Second, "suppress automatic checkpoints this long after one fails (negative = retry immediately)")
-		shards      = flag.Int("shards", 1, "shard-per-core engine: shard count (1 = classic single engine; an existing durable store fixes it, pass 0 to adopt)")
-		noPrefilter = flag.Bool("no-prefilter", false, "disable the signature pre-filter tier (results are identical; searches do more exact geometry)")
-		unquantized = flag.Bool("unquantized-pages", false, "store float64 triplet pages instead of quantized float32 (results are identical; leaves hold half as many records)")
+		shards      = flag.Int("shards", 1, "shard-per-core engine: shard count (an existing durable store fixes it, pass 0 to adopt)")
 	)
 	flag.Parse()
 	switch {
@@ -98,21 +95,17 @@ func main() {
 		newPager, cacheStats = server.CachedPager(newPager, *cachePages)
 	}
 	opts := vitri.Options{
-		Epsilon:           *epsilon,
-		Seed:              *seed,
-		SearchParallelism: *parallelism,
-		NewPager:          newPager,
-		Shards:            *shards,
-		DisablePreFilter:  *noPrefilter,
-		UnquantizedPages:  *unquantized,
+		Epsilon:  *epsilon,
+		Seed:     *seed,
+		NewPager: newPager,
+		Shards:   *shards,
 	}
 
 	db, err := loadDB(*corpusPath, *dbPath, *journalDir, opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	log.Printf("vitriserve: %d videos, %d triplets (epsilon %g, signature pre-filter %s, %s leaf pages)",
-		db.Len(), db.Triplets(), db.Epsilon(), onOff(!*noPrefilter), pageKind(*unquantized))
+	log.Printf("vitriserve: %d videos, %d triplets (epsilon %g)", db.Len(), db.Triplets(), db.Epsilon())
 	if db.Durable() {
 		ds := db.DurabilityStats()
 		log.Printf("vitriserve: durable store %s (journal depth %d, snapshot seq %d)", ds.Dir, ds.Journal.Depth, ds.SnapshotSeq)
@@ -240,20 +233,6 @@ func warmIndex(db *vitri.DB, frames []vitri.Vector, seed int64) error {
 		return fmt.Errorf("index build: %w", err)
 	}
 	return nil
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
-func pageKind(unquantized bool) string {
-	if unquantized {
-		return "float64"
-	}
-	return "quantized float32"
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -40,7 +40,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		workers = 6
 		ops     = 12
 	)
-	db := New(Options{Epsilon: 0.3, Seed: 1, SearchParallelism: 4})
+	db := New(Options{Epsilon: 0.3, Seed: 1})
 	seedRng := rand.New(rand.NewSource(21))
 	for id := 0; id < base; id++ {
 		if err := db.Add(id, stressVideo(seedRng, dim, 20)); err != nil {

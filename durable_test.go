@@ -503,7 +503,7 @@ func TestAddBatchPoisonedWriterShortCircuits(t *testing.T) {
 // group-commits once; recovery sees all of them.
 func TestDurableAddBatch(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenDurable(dir, Options{Epsilon: 0.3, IngestParallelism: 2})
+	db, err := OpenDurable(dir, Options{Epsilon: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,12 @@ type engine struct {
 	// Close nils it.
 	dur *durableState // guarded by mu
 
-	// Test hooks, nil outside tests and set before any checkpoint runs
-	// (read without synchronization). The crash and equivalence suites
-	// use them to run mutations inside this shard's unlocked checkpoint
-	// windows: after the capture but before the snapshot write, and after
-	// the write but before the journal rotation.
+	// Test hooks, unset outside tests and set before the index is built
+	// or any checkpoint runs (read without synchronization). The crash and
+	// equivalence suites use the first two to run mutations inside this
+	// shard's unlocked checkpoint windows: after the capture but before
+	// the snapshot write, and after the write but before the journal
+	// rotation.
 	testBeforeSnapshotWrite func() // immutable once serving
 	testBeforeRotate        func() // immutable once serving
 	// testDropRetainedSuffix reverts checkpointCommit to the pre-retained
@@ -43,6 +44,12 @@ type engine struct {
 	// suffix rotation is load-bearing: with it, mid-checkpoint crash
 	// states lose acknowledged mutations.
 	testDropRetainedSuffix bool // immutable once serving
+	// testNoSignatures and testFloat64Leaves build the index without the
+	// signature pre-filter tier and with float64 leaf records. The
+	// differential suites hold each tier off to prove it changes no
+	// result (see prefilter_equiv_test.go).
+	testNoSignatures  bool // immutable once serving
+	testFloat64Leaves bool // immutable once serving
 }
 
 func newEngine(opts Options) *engine {
@@ -226,9 +233,8 @@ func (e *engine) ensureIndexLocked() error {
 		RefKind:           e.opts.RefKind,
 		Partitions:        e.opts.Partitions,
 		NewPager:          e.opts.NewPager,
-		SearchParallelism: e.opts.SearchParallelism,
-		DisableSignatures: e.opts.DisablePreFilter,
-		UnquantizedLeaves: e.opts.UnquantizedPages,
+		DisableSignatures: e.testNoSignatures,
+		UnquantizedLeaves: e.testFloat64Leaves,
 	})
 	if err != nil {
 		return err
@@ -272,14 +278,13 @@ func (e *engine) build() error {
 	return err
 }
 
-// searchSummaryP runs one query on this shard with an explicit
-// intra-query parallelism override (0 = the configured default).
-func (e *engine) searchSummaryP(q *Summary, k int, mode QueryMode, parallelism int) ([]Match, SearchStats, error) {
+// searchSummary runs one query on this shard.
+func (e *engine) searchSummary(q *Summary, k int, mode QueryMode) ([]Match, SearchStats, error) {
 	ix, err := e.index()
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	return ix.SearchParallel(q, k, mode, parallelism)
+	return ix.Search(q, k, mode)
 }
 
 // searchImage runs one image probe on this shard.
@@ -288,7 +293,7 @@ func (e *engine) searchImage(q *Summary, k int, mode QueryMode) ([]Match, Search
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	return ix.SearchImage(q, k, mode, 0)
+	return ix.SearchImage(q, k, mode)
 }
 
 // rebuild re-derives the reference point from this shard's contents and

@@ -152,10 +152,7 @@ func TestSearchImageEquivalence(t *testing.T) {
 	totalSkips := 0
 	for _, shards := range equivShardCounts {
 		for _, cfg := range configs {
-			db := New(Options{
-				Epsilon: 0.3, Seed: 7, Shards: shards,
-				DisablePreFilter: cfg.noSig, UnquantizedPages: cfg.unq,
-			})
+			db := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: shards}, cfg.noSig, cfg.unq)
 			if _, err := db.AddBatch(videos); err != nil {
 				t.Fatalf("shards=%d %s: AddBatch: %v", shards, cfg.name, err)
 			}

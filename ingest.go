@@ -19,13 +19,13 @@ type Video struct {
 
 // AddBatch summarizes many videos concurrently and adds them to the
 // database in input order. Summarization — the CPU-bound phase — fans out
-// over Options.IngestParallelism workers, each owning a reusable
-// allocation-free clustering scratch; the merge then partitions the
-// summaries by home shard and applies each shard's share in input order
-// under a single hold of that shard's lock.
+// over GOMAXPROCS workers, each owning a reusable allocation-free
+// clustering scratch; the merge then partitions the summaries by home
+// shard and applies each shard's share in input order under a single
+// hold of that shard's lock.
 //
 // The result is byte-identical to calling Add for each video in the same
-// order, at every parallelism: each video's summary is seeded from
+// order, at every worker count: each video's summary is seeded from
 // (Options.Seed, video id) alone, scratch reuse never leaks into results,
 // and the ordered merge replays the sequential insertion sequence. The
 // only intentional difference is the index-drift policy, which is
@@ -69,10 +69,7 @@ func (db *DB) registerBatchTemporal(videos []Video, summaries []core.Summary, it
 func (db *DB) summarizeBatch(videos []Video) ([]core.Summary, []error) {
 	summaries := make([]core.Summary, len(videos))
 	itemErrs := make([]error, len(videos))
-	workers := db.ingestParallelism()
-	if workers > len(videos) {
-		workers = len(videos)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(videos))
 	// Workers claim videos from an atomic cursor. Which worker summarizes
 	// which video is racy, but irrelevant to the output: a summary depends
 	// only on (frames, epsilon, per-video seed), never on the worker's
@@ -127,13 +124,4 @@ func BuildParallel(videos []Video, opts Options) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// ingestParallelism resolves Options.IngestParallelism (<= 0 selects
-// GOMAXPROCS).
-func (db *DB) ingestParallelism() int {
-	if p := db.opts.IngestParallelism; p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
 }

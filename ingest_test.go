@@ -42,9 +42,20 @@ func encodeStore(t *testing.T, epsilon float64, sums []Summary) []byte {
 	return buf.Bytes()
 }
 
-// The tentpole contract: AddBatch at any parallelism is byte-identical to
-// a sequential Add loop — same summaries, same index shape, same search
-// results.
+// ingestWorkerCounts are the summarization pool widths the equivalence
+// tests run at. The pool is sized from GOMAXPROCS, so that is what they
+// vary (1 is the sequential loop; 8 oversubscribes any small machine).
+var ingestWorkerCounts = []int{1, 2, 8}
+
+// atGOMAXPROCS runs f with GOMAXPROCS set to n and restores it.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// The tentpole contract: AddBatch at any worker count is byte-identical
+// to a sequential Add loop — same summaries, same index shape, same
+// search results.
 func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 	videos := ingestCorpus(41, 24)
 	query := synthVideo(rand.New(rand.NewSource(99)), 8, 2, 5)
@@ -65,9 +76,13 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 		t.Fatalf("sequential Stats: %v", err)
 	}
 
-	for _, par := range []int{1, 4, 0 /* GOMAXPROCS */} {
-		db := New(Options{Epsilon: 0.3, Seed: 7, IngestParallelism: par})
-		itemErrs, err := db.AddBatch(videos)
+	for _, par := range ingestWorkerCounts {
+		db := New(Options{Epsilon: 0.3, Seed: 7})
+		var (
+			itemErrs []error
+			err      error
+		)
+		atGOMAXPROCS(par, func() { itemErrs, err = db.AddBatch(videos) })
 		if err != nil {
 			t.Fatalf("parallelism %d: AddBatch: %v", par, err)
 		}
@@ -105,8 +120,8 @@ func TestAddBatchIntoLiveIndexMatchesSequential(t *testing.T) {
 	}
 	query := synthVideo(rand.New(rand.NewSource(98)), 8, 2, 5)
 
-	build := func(par int, batched bool) *DB {
-		db := New(Options{Epsilon: 0.3, Seed: 5, IngestParallelism: par})
+	build := func(batched bool) *DB {
+		db := New(Options{Epsilon: 0.3, Seed: 5})
 		for _, v := range first {
 			if err := db.Add(v.ID, v.Frames); err != nil {
 				t.Fatalf("Add(%d): %v", v.ID, err)
@@ -135,23 +150,29 @@ func TestAddBatchIntoLiveIndexMatchesSequential(t *testing.T) {
 		return db
 	}
 
-	seq := build(1, false)
-	par := build(runtime.GOMAXPROCS(0), true)
-	if !bytes.Equal(storeBytes(t, seq), storeBytes(t, par)) {
-		t.Error("live-index AddBatch diverged from sequential Adds")
+	seq := build(false)
+	wantM, err := seq.Search(query, 5)
+	if err != nil {
+		t.Fatalf("post-load Search: %v", err)
 	}
-	wantM, err1 := seq.Search(query, 5)
-	gotM, err2 := par.Search(query, 5)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("post-load Search: %v / %v", err1, err2)
-	}
-	if !reflect.DeepEqual(gotM, wantM) {
-		t.Errorf("post-load search diverged:\n got %+v\nwant %+v", gotM, wantM)
+	for _, workers := range ingestWorkerCounts {
+		var par *DB
+		atGOMAXPROCS(workers, func() { par = build(true) })
+		if !bytes.Equal(storeBytes(t, seq), storeBytes(t, par)) {
+			t.Errorf("%d workers: live-index AddBatch diverged from sequential Adds", workers)
+		}
+		gotM, err := par.Search(query, 5)
+		if err != nil {
+			t.Fatalf("%d workers: post-load Search: %v", workers, err)
+		}
+		if !reflect.DeepEqual(gotM, wantM) {
+			t.Errorf("%d workers: post-load search diverged:\n got %+v\nwant %+v", workers, gotM, wantM)
+		}
 	}
 }
 
 func TestAddBatchPerItemErrors(t *testing.T) {
-	db := New(Options{Epsilon: 0.3, IngestParallelism: 4})
+	db := New(Options{Epsilon: 0.3})
 	if err := db.Add(5, synthVideo(rand.New(rand.NewSource(1)), 8, 2, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +229,26 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err := BuildParallel(videos, Options{Epsilon: 0.3, Seed: 3})
-	if err != nil {
-		t.Fatalf("BuildParallel: %v", err)
-	}
-	defer db.Close()
-	if db.Triplets() == 0 {
-		t.Fatal("BuildParallel did not build the index eagerly")
-	}
-	gotM, err := db.Search(query, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotM, wantM) {
-		t.Errorf("BuildParallel search diverged:\n got %+v\nwant %+v", gotM, wantM)
-	}
-	if !bytes.Equal(storeBytes(t, seq), storeBytes(t, db)) {
-		t.Error("BuildParallel summaries diverged from sequential path")
+	for _, workers := range ingestWorkerCounts {
+		var db *DB
+		atGOMAXPROCS(workers, func() { db, err = BuildParallel(videos, Options{Epsilon: 0.3, Seed: 3}) })
+		if err != nil {
+			t.Fatalf("%d workers: BuildParallel: %v", workers, err)
+		}
+		defer db.Close()
+		if db.Triplets() == 0 {
+			t.Fatalf("%d workers: BuildParallel did not build the index eagerly", workers)
+		}
+		gotM, err := db.Search(query, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotM, wantM) {
+			t.Errorf("%d workers: BuildParallel search diverged:\n got %+v\nwant %+v", workers, gotM, wantM)
+		}
+		if !bytes.Equal(storeBytes(t, seq), storeBytes(t, db)) {
+			t.Errorf("%d workers: BuildParallel summaries diverged from sequential path", workers)
+		}
 	}
 }
 
@@ -242,7 +266,7 @@ func TestBuildParallelReportsItemErrors(t *testing.T) {
 // component far enough triggers exactly one rebuild at merge time.
 func TestAddBatchAppliesDriftPolicy(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	db := New(Options{Epsilon: 0.3, MaxDriftAngle: 0.1, IngestParallelism: 2})
+	db := New(Options{Epsilon: 0.3, MaxDriftAngle: 0.1})
 	for id := 0; id < 8; id++ {
 		frames := make([]Vector, 12)
 		for i := range frames {

@@ -51,10 +51,6 @@ type Config struct {
 	// IndexQueries is the number of query videos averaged over in the
 	// index experiments (Figures 16–19).
 	IndexQueries int
-	// SearchParallelism is the worker-pool width the parallel-search
-	// experiment compares against sequential execution (<= 0 selects
-	// GOMAXPROCS).
-	SearchParallelism int
 
 	// Progress, when non-nil, receives one line per experiment stage.
 	Progress io.Writer
@@ -217,7 +213,6 @@ func RunAll(cfg Config, w io.Writer) error {
 		{"Figure 17", Figure17},
 		{"Figure 18", Figure18},
 		{"Figure 19", Figure19},
-		{"Parallel", ParallelSearch},
 		{"Extension", ExtensionSummaries},
 	}
 	for _, r := range runners {

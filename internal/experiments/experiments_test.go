@@ -182,40 +182,6 @@ func TestFigure19DynamicInsertion(t *testing.T) {
 	}
 }
 
-func TestParallelSearchExperiment(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.SearchParallelism = 4
-	tabs, err := ParallelSearch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 2 {
-		t.Fatalf("tables = %d, want 2 (latency + throughput)", len(tabs))
-	}
-	lat := tabs[0]
-	if len(lat.Rows) != 2 {
-		t.Fatalf("latency rows = %d, want naive + composed", len(lat.Rows))
-	}
-	// Every latency cell is populated and positive (the experiment itself
-	// verifies parallel results equal sequential before reporting).
-	for r := range lat.Rows {
-		for c := 1; c <= 2; c++ {
-			if cell(t, lat, r, c) <= 0 {
-				t.Fatalf("non-positive latency cell (%d,%d):\n%s", r, c, lat)
-			}
-		}
-	}
-	thr := tabs[1]
-	if len(thr.Rows) != 2 {
-		t.Fatalf("throughput rows = %d, want sequential + batch", len(thr.Rows))
-	}
-	for r := range thr.Rows {
-		if cell(t, thr, r, 2) <= 0 {
-			t.Fatalf("non-positive queries/s in row %d:\n%s", r, thr)
-		}
-	}
-}
-
 func TestRunAllProducesAllTables(t *testing.T) {
 	var sb strings.Builder
 	if err := RunAll(tinyConfig(), &sb); err != nil {
@@ -225,7 +191,6 @@ func TestRunAllProducesAllTables(t *testing.T) {
 	for _, want := range []string{
 		"Table 2", "Table 3", "Figure 14", "Figure 15",
 		"Figure 16", "Figure 17", "Figure 18", "Figure 19",
-		"Parallel KNN",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)

@@ -23,52 +23,6 @@ func queriesFor(r *rand.Rand, videos [][]vec.Vector, n int) []core.Summary {
 	return out
 }
 
-// TestSearchParallelMatchesSequential: the parallel engine is an
-// execution-strategy change only — results and stats must be
-// byte-identical to the sequential path at every pool width, in both
-// modes and for both single-reference and iDistance mappers.
-func TestSearchParallelMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	videos, sums, ix := buildCorpus(t, r, 40, 8)
-	multi, err := Build(sums, Options{Epsilon: testEps, RefKind: refpoint.MultiRef, Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := queriesFor(r, videos, 5)
-	for name, idx := range map[string]*Index{"optimal": ix, "idistance": multi} {
-		for _, mode := range []Mode{Naive, Composed} {
-			for _, par := range []int{2, 4, 16} {
-				for qi := range queries {
-					seqRes, seqStats, err := idx.SearchParallel(&queries[qi], 10, mode, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parRes, parStats, err := idx.SearchParallel(&queries[qi], 10, mode, par)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(seqRes) == 0 {
-						t.Fatalf("%s/%v: query %d returned no results", name, mode, qi)
-					}
-					if len(parRes) != len(seqRes) {
-						t.Fatalf("%s/%v par=%d: %d results, sequential %d", name, mode, par, len(parRes), len(seqRes))
-					}
-					for i := range seqRes {
-						if parRes[i] != seqRes[i] {
-							t.Fatalf("%s/%v par=%d query %d result %d: %+v != %+v",
-								name, mode, par, qi, i, parRes[i], seqRes[i])
-						}
-					}
-					if parStats != seqStats {
-						t.Fatalf("%s/%v par=%d query %d stats: %+v != %+v",
-							name, mode, par, qi, parStats, seqStats)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSearchStatsExactUnderConcurrentSearches is the attribution
 // regression test: on a file-backed pager (every read physical), two
 // simultaneous searches must each report exactly the PageReads they
@@ -142,14 +96,14 @@ func TestSearchStatsExactUnderConcurrentSearches(t *testing.T) {
 func TestSearchBatchMatchesIndividualSearches(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	videos, sums, _ := buildCorpus(t, r, 30, 8)
-	ix, err := Build(sums, Options{Epsilon: testEps, RefKind: refpoint.Optimal, SearchParallelism: 4})
+	ix, err := Build(sums, Options{Epsilon: testEps, RefKind: refpoint.Optimal})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := queriesFor(r, videos, 6)
 	batch := func(qs []core.Summary) []BatchItem {
-		return SearchBatch(len(qs), 4, func(i int) BatchItem {
-			res, stats, err := ix.SearchParallel(&qs[i], 10, Composed, 1)
+		return SearchBatch(len(qs), func(i int) BatchItem {
+			res, stats, err := ix.Search(&qs[i], 10, Composed)
 			return BatchItem{Results: res, Stats: stats, Err: err}
 		})
 	}
@@ -161,7 +115,7 @@ func TestSearchBatchMatchesIndividualSearches(t *testing.T) {
 		if items[qi].Err != nil {
 			t.Fatal(items[qi].Err)
 		}
-		res, stats, err := ix.SearchParallel(&queries[qi], 10, Composed, 1)
+		res, stats, err := ix.Search(&queries[qi], 10, Composed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,51 +141,5 @@ func TestSearchBatchMatchesIndividualSearches(t *testing.T) {
 	}
 	if empty := batch(nil); len(empty) != 0 {
 		t.Fatalf("empty batch returned %d items", len(empty))
-	}
-}
-
-// TestInsertFailureLeavesIndexUnchanged is the partial-insert regression
-// test: a summary rejected on its i-th triplet (wrong dimensionality)
-// must leave the tree, catalog, and drift accumulators exactly as they
-// were — no orphaned records for scans to surface.
-func TestInsertFailureLeavesIndexUnchanged(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	_, _, ix := buildCorpus(t, r, 10, 8)
-	lenBefore := ix.Len()
-	videosBefore := ix.Videos()
-	driftBefore := ix.DriftAngle()
-
-	bad := core.Summary{VideoID: 999, FrameCount: 60}
-	good := makeVideo(r, 8, 1, 30)
-	gs := core.Summarize(999, good, core.Options{Epsilon: testEps, Seed: 5})
-	bad.Triplets = append(bad.Triplets, gs.Triplets...)
-	// The poisoned triplet comes *after* valid ones, so a non-atomic
-	// insert would orphan the earlier records.
-	bad.Triplets = append(bad.Triplets, core.NewViTri(vec.Vector{0.5, 0.5}, 0.05, 3))
-
-	if err := ix.Insert(bad); err == nil {
-		t.Fatal("insert of mixed-dimensionality summary succeeded")
-	}
-	if got := ix.Len(); got != lenBefore {
-		t.Fatalf("tree has %d records after failed insert, want %d", got, lenBefore)
-	}
-	if got := ix.Videos(); got != videosBefore {
-		t.Fatalf("catalog has %d videos after failed insert, want %d", got, videosBefore)
-	}
-	if got := ix.DriftAngle(); got != driftBefore {
-		t.Fatalf("drift accumulators moved: %v -> %v", driftBefore, got)
-	}
-	if ix.Contains(999) {
-		t.Fatal("failed insert left video 999 in the catalog")
-	}
-	if err := ix.CheckTree(); err != nil {
-		t.Fatal(err)
-	}
-	// The same summary without the poisoned triplet inserts cleanly.
-	if err := ix.Insert(gs); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Len(); got != lenBefore+len(gs.Triplets) {
-		t.Fatalf("tree has %d records after clean insert, want %d", got, lenBefore+len(gs.Triplets))
 	}
 }

@@ -20,19 +20,19 @@ import (
 //
 // Because the best-cell fold is a max over canonical cells — each cell
 // written by exactly one evaluation — the ranking is a pure function of
-// (query, video contents): identical run to run, at every parallelism,
-// across any sharding of the database, and with the pre-filter on or
-// off. Results sort by Similarity descending, video id ascending, like
-// every other ranking in the engine, so scatter-gather merges are
-// order-compatible. Stats carry the same contract as Search: exact
-// per-query PageReads, and SimilarityOps + SignatureSkips invariant
-// under the signature tier.
-func (ix *Index) SearchImage(q *core.Summary, k int, mode Mode, parallelism int) ([]Result, SearchStats, error) {
+// (query, video contents): identical run to run, across any sharding of
+// the database, and with the pre-filter on or off. Results sort by
+// Similarity descending, video id ascending, like every other ranking in
+// the engine, so scatter-gather merges are order-compatible. Stats carry
+// the same contract as Search: exact per-query PageReads, and
+// SimilarityOps + SignatureSkips invariant under the signature tier.
+//
+// The trailing ints are ignored. bench/twin.go, which this change may not
+// edit, still passes the former intra-query parallelism argument; every
+// other caller passes three arguments.
+func (ix *Index) SearchImage(q *core.Summary, k int, mode Mode, _ ...int) ([]Result, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("index: k must be positive")
-	}
-	if parallelism <= 0 {
-		parallelism = ix.opts.SearchParallelism
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -40,7 +40,7 @@ func (ix *Index) SearchImage(q *core.Summary, k int, mode Mode, parallelism int)
 	if len(q.Triplets) == 0 {
 		return nil, SearchStats{}, nil
 	}
-	_, scores, stats, err := ix.scanQueryLocked(q, mode, parallelism)
+	_, scores, stats, err := ix.scanQueryLocked(q, mode)
 	if err != nil {
 		return nil, SearchStats{}, err
 	}

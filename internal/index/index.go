@@ -33,10 +33,6 @@ type Options struct {
 	Partitions int
 	// FillFactor for bulk loading (btree.DefaultFillFactor when 0).
 	FillFactor float64
-	// SearchParallelism bounds the worker pool a single Search fans its
-	// disjoint range scans across. <= 0 selects GOMAXPROCS; 1 disables
-	// intra-query parallelism. Results are identical at every setting.
-	SearchParallelism int
 	// NewPager supplies page stores for the tree — once at build time and
 	// again on every rebuild. Defaults to in-memory pagers.
 	NewPager func() pager.Pager
@@ -515,8 +511,10 @@ type recordRef struct {
 func (ix *Index) treeRefsLocked() ([]recordRef, error) {
 	out := make([]recordRef, 0, ix.tree.Len())
 	var r Record
-	err := ix.tree.Scan(func(_ float64, val []byte) bool {
-		if ix.decodeRec(val, &r) != nil {
+	var decErr error
+	err := ix.tree.Scan(func(key float64, val []byte) bool {
+		if err := ix.decodeRec(val, &r); err != nil {
+			decErr = fmt.Errorf("index: leaf record at key %v: %w", key, err)
 			return false
 		}
 		info := ix.catalog[r.VideoID]
@@ -528,6 +526,9 @@ func (ix *Index) treeRefsLocked() ([]recordRef, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if decErr != nil {
+		return nil, decErr
 	}
 	return out, nil
 }

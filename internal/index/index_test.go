@@ -1,11 +1,14 @@
 package index
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
 
 	"vitri/internal/core"
+	"vitri/internal/pager"
 	"vitri/internal/refpoint"
 	"vitri/internal/vec"
 )
@@ -481,5 +484,122 @@ func TestMultiRefIndexMatchesBruteForce(t *testing.T) {
 	}
 	if ix.DriftAngle() != 0 {
 		t.Fatalf("multi mapper should report zero drift, got %v", ix.DriftAngle())
+	}
+}
+
+// TestInsertFailureLeavesIndexUnchanged is the partial-insert regression
+// test: a summary rejected on its i-th triplet (wrong dimensionality)
+// must leave the tree, catalog, and drift accumulators exactly as they
+// were — no orphaned records for scans to surface.
+func TestInsertFailureLeavesIndexUnchanged(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	_, _, ix := buildCorpus(t, r, 10, 8)
+	lenBefore := ix.Len()
+	videosBefore := ix.Videos()
+	driftBefore := ix.DriftAngle()
+
+	bad := core.Summary{VideoID: 999, FrameCount: 60}
+	good := makeVideo(r, 8, 1, 30)
+	gs := core.Summarize(999, good, core.Options{Epsilon: testEps, Seed: 5})
+	bad.Triplets = append(bad.Triplets, gs.Triplets...)
+	// The poisoned triplet comes *after* valid ones, so a non-atomic
+	// insert would orphan the earlier records.
+	bad.Triplets = append(bad.Triplets, core.NewViTri(vec.Vector{0.5, 0.5}, 0.05, 3))
+
+	if err := ix.Insert(bad); err == nil {
+		t.Fatal("insert of mixed-dimensionality summary succeeded")
+	}
+	if got := ix.Len(); got != lenBefore {
+		t.Fatalf("tree has %d records after failed insert, want %d", got, lenBefore)
+	}
+	if got := ix.Videos(); got != videosBefore {
+		t.Fatalf("catalog has %d videos after failed insert, want %d", got, videosBefore)
+	}
+	if got := ix.DriftAngle(); got != driftBefore {
+		t.Fatalf("drift accumulators moved: %v -> %v", driftBefore, got)
+	}
+	if ix.Contains(999) {
+		t.Fatal("failed insert left video 999 in the catalog")
+	}
+	if err := ix.CheckTree(); err != nil {
+		t.Fatal(err)
+	}
+	// The same summary without the poisoned triplet inserts cleanly.
+	if err := ix.Insert(gs); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Len(); got != lenBefore+len(gs.Triplets) {
+		t.Fatalf("tree has %d records after clean insert, want %d", got, lenBefore+len(gs.Triplets))
+	}
+}
+
+// TestCorruptLeafRecordFailsQuery: a leaf record that no longer decodes
+// must fail the operation that met it. The scan callbacks used to answer a
+// decode error by stopping the scan and dropping the error, so Search
+// returned a silently truncated ranking and Rebuild silently shed every
+// record after the bad one.
+func TestCorruptLeafRecordFailsQuery(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	videos := make([][]vec.Vector, 12)
+	for i := range videos {
+		videos[i] = makeVideo(r, 8, 3, 30)
+	}
+	sums := summarizeAll(videos)
+	var mem *pager.Mem // the built tree's store; a rebuild gets a fresh one
+	ix, err := Build(sums, Options{Epsilon: testEps, NewPager: func() pager.Pager {
+		m := pager.NewMem()
+		if mem == nil {
+			mem = m
+		}
+		return m
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := ix.Len()
+
+	// Overwrite the last record of the first leaf page with a NaN radius
+	// and re-seal the page (btree header: type at byte 0, 1 = leaf; entry
+	// count at bytes 1..3; CRC-32 at bytes 8..12 over the page with that
+	// field zeroed; entries from byte 16 as key(8) + record), so the tree's
+	// checksum passes and the damage reaches the record decoder.
+	var (
+		page pager.Page
+		id   pager.PageID
+	)
+	for id = 1; ; id++ {
+		if int(id) >= mem.NumPages() {
+			t.Fatal("no leaf page found")
+		}
+		if err := mem.Read(id, &page); err != nil {
+			t.Fatal(err)
+		}
+		if page[0] == 1 {
+			break
+		}
+	}
+	last := int(binary.LittleEndian.Uint16(page[1:])) - 1
+	recOff := 16 + last*(8+RecordSizeV3(8)) + 8
+	vid := int32(binary.LittleEndian.Uint32(page[recOff:]))
+	binary.LittleEndian.PutUint32(page[recOff+12:], math.Float32bits(float32(math.NaN())))
+	binary.LittleEndian.PutUint32(page[8:], 0)
+	binary.LittleEndian.PutUint32(page[8:], crc32.ChecksumIEEE(page[:]))
+	if err := mem.Write(id, &page); err != nil {
+		t.Fatal(err)
+	}
+
+	// The damaged record's own video as the query: its range covers the
+	// record's key in both modes.
+	q := &sums[vid]
+	for _, mode := range []Mode{Naive, Composed} {
+		if res, _, err := ix.Search(q, 10, mode); err == nil {
+			t.Fatalf("%v: Search over a corrupt leaf returned %d results and no error", mode, len(res))
+		}
+		if res, _, err := ix.SearchImage(q, 10, mode); err == nil {
+			t.Fatalf("%v: SearchImage over a corrupt leaf returned %d results and no error", mode, len(res))
+		}
+	}
+	if err := ix.Rebuild(); err == nil {
+		t.Fatalf("Rebuild over a corrupt leaf succeeded, keeping %d of %d records", ix.Len(), records)
 	}
 }

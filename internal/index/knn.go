@@ -3,10 +3,7 @@ package index
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"vitri/internal/core"
 	"vitri/internal/pager"
@@ -64,15 +61,6 @@ type SearchStats struct {
 	PageReads      uint64
 }
 
-// add folds another query-part's counters in.
-func (s *SearchStats) add(o *SearchStats) {
-	s.Ranges += o.Ranges
-	s.Candidates += o.Candidates
-	s.SimilarityOps += o.SimilarityOps
-	s.SignatureSkips += o.SignatureSkips
-	s.PageReads += o.PageReads
-}
-
 // queryTriplet is a prepared query-side triplet with its 1-D search
 // ranges (one for single-reference mappers, up to one per partition for
 // the iDistance mapper) and, when the signature tier is on, its point
@@ -98,10 +86,10 @@ func (qt *queryTriplet) covers(key float64) bool {
 // (query triplet, record) evaluation — scan ranges for one triplet are
 // disjoint, and a video's cluster ordinal names one record — so the cell
 // map is a pure function of (query, video contents), independent of scan
-// order, task split, parallelism, or how the key space was mapped. That
-// independence is what lets a sharded database reproduce the single-index
-// engine's similarities bit for bit: rankLocked folds the cells in a
-// canonical order of its own choosing.
+// order, task split, or how the key space was mapped. That independence
+// is what lets a sharded database reproduce the single-index engine's
+// similarities bit for bit: rankLocked folds the cells in a canonical
+// order of its own choosing.
 type videoScore struct {
 	cells  map[int64]float64 // cellKey(qi, cn) -> shared frames
 	dbCnts map[int32]int32   // db cluster ordinal -> |C|
@@ -113,55 +101,22 @@ func cellKey(qi int, cn int32) int64 {
 	return int64(qi)<<32 | int64(uint32(cn))
 }
 
-// merge folds another score for the same video in. Cells are keyed by
-// (query triplet, cluster), each set by exactly one evaluation, so the
-// union is order-independent — merge order across tasks cannot change
-// the ranked output.
-func (vs *videoScore) merge(o *videoScore) {
-	for k, s := range o.cells {
-		vs.cells[k] += s
-	}
-	for cn, c := range o.dbCnts {
-		vs.dbCnts[cn] = c
-	}
-}
-
 // scanTask is one disjoint B+-tree range scan: the 1-D interval plus the
 // query triplets to evaluate candidates against. Naive mode emits one
 // task per triplet range; composed mode emits one task per merged
-// interval. Tasks are independent, which is what the worker pool
-// exploits.
+// interval.
 type scanTask struct {
 	lo, hi  float64
 	members []int
 }
 
-// taskResult is one scanTask's private output: a lock-free score map and
-// the task's own counters, merged by the caller after the pool barrier.
-type taskResult struct {
-	stats  SearchStats
-	scores map[int32]*videoScore
-}
-
 // Search returns the top-k most similar videos to the summarized query.
 // The query's own video id, if indexed, participates like any other video.
-// Disjoint range scans run on a bounded worker pool sized by
-// Options.SearchParallelism.
+// A query's range scans run in order on the caller's goroutine; callers
+// with many queries parallelise across them (SearchBatch).
 func (ix *Index) Search(q *core.Summary, k int, mode Mode) ([]Result, SearchStats, error) {
-	return ix.SearchParallel(q, k, mode, 0)
-}
-
-// SearchParallel is Search with an explicit intra-query parallelism
-// override: the number of goroutines scanning this query's disjoint
-// ranges. 0 uses the index's configured SearchParallelism (which itself
-// defaults to GOMAXPROCS); 1 forces a fully sequential search. Results
-// and stats are identical at every setting.
-func (ix *Index) SearchParallel(q *core.Summary, k int, mode Mode, parallelism int) ([]Result, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("index: k must be positive")
-	}
-	if parallelism <= 0 {
-		parallelism = ix.opts.SearchParallelism
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -169,7 +124,7 @@ func (ix *Index) SearchParallel(q *core.Summary, k int, mode Mode, parallelism i
 	if len(q.Triplets) == 0 {
 		return nil, SearchStats{}, nil
 	}
-	qts, scores, stats, err := ix.scanQueryLocked(q, mode, parallelism)
+	qts, scores, stats, err := ix.scanQueryLocked(q, mode)
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -178,15 +133,15 @@ func (ix *Index) SearchParallel(q *core.Summary, k int, mode Mode, parallelism i
 
 // scanQueryLocked is the scan pipeline every query shape shares: prepare
 // the query triplets (1-D ranges plus, when the tier is on, point
-// signatures), build the mode's disjoint scan tasks, run them on the
-// worker pool and merge the per-task score maps into one canonical cell
-// map per video. Only the final ranking differs between whole-video KNN
-// (rankLocked's clamped two-sided fold) and the image probe (rankImage's
-// best-cell fold) — both consume this function's output, so the stats
-// contract (exact per-query PageReads, SimilarityOps + SignatureSkips
-// invariant under the tier) holds for every workload by construction.
-// Caller holds at least a read lock and has checked q is non-empty.
-func (ix *Index) scanQueryLocked(q *core.Summary, mode Mode, parallelism int) ([]queryTriplet, map[int32]*videoScore, SearchStats, error) {
+// signatures), build the mode's disjoint scan tasks and run them in order
+// into one canonical cell map per video. Only the final ranking differs
+// between whole-video KNN (rankLocked's clamped two-sided fold) and the
+// image probe (rankImage's best-cell fold) — both consume this function's
+// output, so the stats contract (exact per-query PageReads, SimilarityOps
+// + SignatureSkips invariant under the tier) holds for every workload by
+// construction. Caller holds at least a read lock and has checked q is
+// non-empty.
+func (ix *Index) scanQueryLocked(q *core.Summary, mode Mode) ([]queryTriplet, map[int32]*videoScore, SearchStats, error) {
 	var stats SearchStats
 	cellW := sig.CellWidth(ix.opts.Epsilon)
 	qts := make([]queryTriplet, len(q.Triplets))
@@ -220,90 +175,29 @@ func (ix *Index) scanQueryLocked(q *core.Summary, mode Mode, parallelism int) ([
 		return nil, nil, stats, fmt.Errorf("index: unknown mode %v", mode)
 	}
 
-	results, err := ix.runTasks(qts, tasks, parallelism)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-
-	// Merge per-task score maps. Scores are canonical (qi, cluster) cells
-	// — see videoScore — so the merge is an order-independent union and
-	// parallel, sequential, and sharded searches all return byte-identical
-	// results.
+	// Scores are canonical (qi, cluster) cells — see videoScore — so the
+	// order tasks run in, and how a database is sharded, cannot change the
+	// ranked output.
 	scores := make(map[int32]*videoScore)
-	for i := range results {
-		stats.add(&results[i].stats)
-		for vid, vs := range results[i].scores {
-			if dst := scores[vid]; dst != nil {
-				dst.merge(vs)
-			} else {
-				scores[vid] = vs
-			}
+	for i := range tasks {
+		if err := ix.runTask(qts, &tasks[i], scores, &stats); err != nil {
+			return nil, nil, stats, err
 		}
 	}
-
 	return qts, scores, stats, nil
 }
 
-// runTasks executes every scan task, fanning out across min(parallelism,
-// len(tasks)) workers when parallelism permits. Workers pull task indices
-// from an atomic cursor (work stealing balances uneven interval sizes)
-// and write into their task's private slot, so the accumulate path needs
-// no locks; the first error wins.
-func (ix *Index) runTasks(qts []queryTriplet, tasks []scanTask, parallelism int) ([]taskResult, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(tasks) {
-		parallelism = len(tasks)
-	}
-	out := make([]taskResult, len(tasks))
-	if parallelism <= 1 {
-		for i := range tasks {
-			if err := ix.runTask(qts, &tasks[i], &out[i]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	var (
-		cursor   int64 = -1
-		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&cursor, 1))
-				if i >= len(tasks) {
-					return
-				}
-				if err := ix.runTask(qts, &tasks[i], &out[i]); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
 // runTask scans one disjoint range and accumulates candidate evidence
-// into the task's private score map. Page reads are attributed to this
-// task via a scan-local counter, never the pager's shared one.
+// into the query's score map. Page reads are attributed to this query
+// via a scan-local counter, never the pager's shared one.
 //
 // The exact triplet for a record comes from the catalog, not the leaf
 // bytes: leaf records may be float32-quantized (Options.UnquantizedLeaves
 // unset), and similarity must fold full-precision float64 values to stay
-// byte-identical across encodings, parallelism, and sharding. A record
-// with no catalog entry (the orphan residue of a doubly-failed insert)
-// is skipped — with no entry it could never be ranked anyway.
+// byte-identical across encodings and sharding. A record with no catalog
+// entry (the orphan residue of a doubly-failed insert) is skipped — with
+// no entry it could never be ranked anyway. A record that does not decode
+// is corruption and fails the query.
 //
 // Between range coverage and the exact geometry sits the signature gate:
 // first the video-level signature (union planes, max radius), then the
@@ -312,19 +206,20 @@ func (ix *Index) runTasks(qts []queryTriplet, tasks []scanTask, parallelism int)
 // leaves every score cell — and therefore every returned result — exactly
 // as the ungated engine would produce. Skips are counted so
 // SimilarityOps + SignatureSkips stays invariant under the gate.
-func (ix *Index) runTask(qts []queryTriplet, tk *scanTask, res *taskResult) error {
-	res.scores = make(map[int32]*videoScore)
-	res.stats.Ranges = 1
+func (ix *Index) runTask(qts []queryTriplet, tk *scanTask, scores map[int32]*videoScore, stats *SearchStats) error {
+	stats.Ranges++
 	var (
-		rec Record
-		sc  pager.ScanStats
+		rec    Record
+		sc     pager.ScanStats
+		decErr error
 	)
 	cellW := sig.CellWidth(ix.opts.Epsilon)
 	err := ix.tree.RangeScanStats(tk.lo, tk.hi, &sc, func(key float64, val []byte) bool {
-		if ix.decodeRec(val, &rec) != nil {
+		if err := ix.decodeRec(val, &rec); err != nil {
+			decErr = fmt.Errorf("index: leaf record at key %v: %w", key, err)
 			return false
 		}
-		res.stats.Candidates++
+		stats.Candidates++
 		info := ix.catalog[rec.VideoID]
 		if info == nil || rec.ClusterN < 0 || int(rec.ClusterN) >= len(info.trips) {
 			return true
@@ -338,19 +233,19 @@ func (ix *Index) runTask(qts []queryTriplet, tk *scanTask, res *taskResult) erro
 			if qt.psig != nil && info.vsig != nil {
 				if sig.Prune(sig.GapScore(qt.psig, info.vsig), qt.vt.Radius+info.vsig.MaxRadius, cellW) ||
 					sig.Prune(sig.GapScore(qt.psig, info.tsigs[rec.ClusterN]), qt.vt.Radius+trip.Radius, cellW) {
-					res.stats.SignatureSkips++
+					stats.SignatureSkips++
 					continue
 				}
 			}
-			res.stats.SimilarityOps++
+			stats.SimilarityOps++
 			if shared := core.SharedFrames(qt.vt, trip); shared > 0 {
-				vs := res.scores[rec.VideoID]
+				vs := scores[rec.VideoID]
 				if vs == nil {
 					vs = &videoScore{
 						cells:  make(map[int64]float64),
 						dbCnts: make(map[int32]int32),
 					}
-					res.scores[rec.VideoID] = vs
+					scores[rec.VideoID] = vs
 				}
 				vs.cells[cellKey(qi, rec.ClusterN)] += shared
 				vs.dbCnts[rec.ClusterN] = rec.Count
@@ -358,8 +253,11 @@ func (ix *Index) runTask(qts []queryTriplet, tk *scanTask, res *taskResult) erro
 		}
 		return true
 	})
-	res.stats.PageReads = sc.Reads
-	return err
+	stats.PageReads += sc.Reads
+	if err != nil {
+		return err
+	}
+	return decErr
 }
 
 // scoreCell is one unpacked (query triplet, db cluster) evidence cell,
@@ -375,8 +273,7 @@ type scoreCell struct {
 // fold each triplet's cells in ascending cluster order, db-side sums fold
 // each cluster's cells in ascending triplet order — so the returned
 // similarities are a pure function of (query, matching video contents):
-// identical run to run, at every parallelism, and across any sharding of
-// the database.
+// identical run to run and across any sharding of the database.
 func (ix *Index) rankLocked(q *core.Summary, qts []queryTriplet, scores map[int32]*videoScore, k int) []Result {
 	results := make([]Result, 0, len(scores))
 	var cells []scoreCell

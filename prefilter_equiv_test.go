@@ -9,16 +9,27 @@ import (
 // leaf encoding. Both are pure accelerations: the tier skips candidates
 // only when the grid bound PROVES zero shared frames, and quantized
 // float32 leaves feed the same exact float64 catalog triplets into the
-// similarity fold. So every configuration of the two knobs must return
+// similarity fold. So every configuration of the two tiers must return
 // bit-identical rankings — compared by Float64bits, not a tolerance —
 // and the only permitted difference is the SimilarityOps/SignatureSkips
 // split in SearchStats.
+
+// newTierDB is New with the signature tier and/or the quantized leaf
+// encoding held off on every shard, through the engines' test hooks —
+// set here, before anything can build an index.
+func newTierDB(opts Options, noSig, unquantized bool) *DB {
+	db := New(opts)
+	for _, e := range db.shards {
+		e.testNoSignatures, e.testFloat64Leaves = noSig, unquantized
+	}
+	return db
+}
 
 // prefilterCorpusDB builds one engine configuration over the shared
 // corpus.
 func prefilterCorpusDB(t *testing.T, videos []Video, noSig, unquantized bool) *DB {
 	t.Helper()
-	db := New(Options{Epsilon: 0.3, Seed: 7, DisablePreFilter: noSig, UnquantizedPages: unquantized})
+	db := newTierDB(Options{Epsilon: 0.3, Seed: 7}, noSig, unquantized)
 	if _, err := db.AddBatch(videos); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
@@ -107,7 +118,7 @@ func TestPreFilterEquivalenceAfterChurn(t *testing.T) {
 	videos := ingestCorpus(89, 36)
 	queries := equivQueries(5)
 	on := New(Options{Epsilon: 0.3, Seed: 7})
-	off := New(Options{Epsilon: 0.3, Seed: 7, DisablePreFilter: true, UnquantizedPages: true})
+	off := newTierDB(Options{Epsilon: 0.3, Seed: 7}, true, true)
 	for _, db := range []*DB{on, off} {
 		equivApply(t, db, videos)
 	}

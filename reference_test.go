@@ -102,14 +102,14 @@ func (r *refDB) Search(frames []Vector, k int) ([]Match, error) {
 }
 
 func (r *refDB) SearchSummary(q *Summary, k int, mode QueryMode) ([]Match, SearchStats, error) {
-	return r.e.searchSummaryP(q, k, mode, 0)
+	return r.e.searchSummary(q, k, mode)
 }
 
 // SearchBatch is a plain loop: the reference has no pool.
 func (r *refDB) SearchBatch(queries []Summary, k int, mode QueryMode) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	for i := range queries {
-		out[i].Results, out[i].Stats, out[i].Err = r.e.searchSummaryP(&queries[i], k, mode, 1)
+		out[i].Results, out[i].Stats, out[i].Err = r.e.searchSummary(&queries[i], k, mode)
 	}
 	return out
 }

@@ -327,23 +327,21 @@ func TestShardEquivalencePreFilterOff(t *testing.T) {
 	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
 	equivApply(t, oracle, videos)
 	configs := []struct {
-		name string
-		opts Options
+		name       string
+		noSig, unq bool
 	}{
-		{"prefilter-off", Options{Epsilon: 0.3, Seed: 7, DisablePreFilter: true}},
-		{"unquantized", Options{Epsilon: 0.3, Seed: 7, UnquantizedPages: true}},
-		{"both-off", Options{Epsilon: 0.3, Seed: 7, DisablePreFilter: true, UnquantizedPages: true}},
+		{"prefilter-off", true, false},
+		{"unquantized", false, true},
+		{"both-off", true, true},
 	}
 	for _, n := range []int{1, 3} {
 		for _, cfg := range configs {
 			n, cfg := n, cfg
 			t.Run(shardName(n)+"/"+cfg.name, func(t *testing.T) {
-				opts := cfg.opts
-				opts.Shards = n
-				db := New(opts)
+				db := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: n}, cfg.noSig, cfg.unq)
 				equivApply(t, db, videos)
 				checkEquiv(t, oracle, db, queries, 10)
-				if opts.DisablePreFilter {
+				if cfg.noSig {
 					for qi := range queries {
 						_, stats, err := db.SearchSummary(&queries[qi], 10, Composed)
 						if err != nil {

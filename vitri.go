@@ -117,16 +117,6 @@ type Options struct {
 	// NewPager overrides page-store construction (e.g. pager.OpenFile
 	// for a disk-backed index). The default keeps pages in memory.
 	NewPager func() pager.Pager
-	// SearchParallelism bounds the worker pool one Search fans its
-	// disjoint B+-tree range scans across, and the pool SearchBatch
-	// pipelines whole queries through. <= 0 selects GOMAXPROCS; 1
-	// disables intra-query parallelism. Results and stats are identical
-	// at every setting.
-	SearchParallelism int
-	// IngestParallelism bounds the worker pool AddBatch fans video
-	// summarization across. <= 0 selects GOMAXPROCS; 1 reduces AddBatch
-	// to a sequential loop. Results are byte-identical at every setting.
-	IngestParallelism int
 	// Durable tunes the durable store; see OpenDurable. Ignored by New —
 	// durability exists only on databases opened with OpenDurable.
 	Durable *DurableOptions
@@ -143,18 +133,6 @@ type Options struct {
 	// creation — recorded in its manifest when above 1 — and later opens
 	// must pass the same value or 0 to adopt it.
 	Shards int
-	// DisablePreFilter turns off the memory-resident signature tier that
-	// discards provably zero-shared candidates before the exact
-	// sphere-intersection math. Search results are byte-identical either
-	// way (the tier's prunes are proofs, not guesses — see DESIGN.md §14);
-	// the knob exists for measurement and as an escape hatch.
-	DisablePreFilter bool
-	// UnquantizedPages keeps the legacy float64 leaf record encoding
-	// instead of the float32-quantized one that halves page reads per
-	// range scan. Similarity always folds exact float64 triplets from the
-	// in-memory catalog, so this trades I/O only — results are
-	// byte-identical either way.
-	UnquantizedPages bool
 }
 
 // DB is a searchable video database. All methods are safe for concurrent
@@ -311,29 +289,29 @@ func (db *DB) Search(frames []Vector, k int) ([]Match, error) {
 // of the per-shard counters.
 func (db *DB) SearchSummary(q *Summary, k int, mode QueryMode) ([]Match, SearchStats, error) {
 	return db.scatter(k, true, func(e *engine) ([]Match, SearchStats, error) {
-		return e.searchSummaryP(q, k, mode, 0)
+		return e.searchSummary(q, k, mode)
 	})
 }
 
 // BatchResult is one query's outcome in a SearchBatch call.
 type BatchResult = index.BatchItem
 
-// SearchBatch pipelines many pre-summarized queries through a bounded
-// worker pool (Options.SearchParallelism workers; GOMAXPROCS when <= 0)
-// and returns one BatchResult per query, in input order. Each query runs
-// sequentially inside its worker — shard after shard, range after range —
-// so concurrency lives at the query grain where it pays, not in nested
-// pools. It only fails as a whole when the database is empty; per-query
-// failures land in the corresponding slot.
+// SearchBatch pipelines many pre-summarized queries through a worker
+// pool of GOMAXPROCS goroutines and returns one BatchResult per query, in
+// input order. Each query runs sequentially inside its worker — shard
+// after shard, range after range — so concurrency lives at the query
+// grain where it pays, not in nested pools. It only fails as a whole when
+// the database is empty; per-query failures land in the corresponding
+// slot.
 func (db *DB) SearchBatch(queries []Summary, k int, mode QueryMode) ([]BatchResult, error) {
 	// Force lazy index builds now so per-query work starts from a built
 	// index.
 	if err := db.forceBuild(); err != nil {
 		return nil, err
 	}
-	return index.SearchBatch(len(queries), db.opts.SearchParallelism, func(i int) BatchResult {
+	return index.SearchBatch(len(queries), func(i int) BatchResult {
 		res, stats, err := db.scatter(k, false, func(e *engine) ([]Match, SearchStats, error) {
-			return e.searchSummaryP(&queries[i], k, mode, 1)
+			return e.searchSummary(&queries[i], k, mode)
 		})
 		return BatchResult{Results: res, Stats: stats, Err: err}
 	}), nil
