@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck lint lint-stats race e2e fuzz-smoke crash bench-module check bench
+.PHONY: all build test vet fmtcheck lint race e2e fuzz-smoke crash bench-module check bench
 
 all: check
 
@@ -32,13 +32,6 @@ fmtcheck:
 lint:
 	$(GO) run ./cmd/vitrilint ./...
 
-# lint-stats runs the suite with the per-analyzer summary (findings,
-# suppressions, wall time, call-graph construction cost) and refreshes
-# the committed BENCH_lint.json timing entry. Manual only: check must
-# leave the tree clean, so it runs the read-only lint.
-lint-stats:
-	$(GO) run ./cmd/vitrilint -stats -bench BENCH_lint.json ./...
-
 race:
 	$(GO) test -race ./...
 
@@ -50,15 +43,14 @@ e2e:
 
 # fuzz-smoke gives each fuzzer a short budget on every check: enough to
 # replay its corpus plus a few thousand fresh mutations. Covers the store
-# codec, the journal replayer, the signature codec, the quantized
-# leaf-record codec (hostile bytes must never panic or be misread as
+# decoder (every format it reads; accepted input must re-encode as v3),
+# the journal replayer, the quantized leaf-record codec (hostile bytes must never panic or be misread as
 # valid records), and temporal signature derivation/alignment (hostile
 # frame values — NaN/Inf included — must never panic or produce
 # out-of-range similarities).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSummaries$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/storefmt/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/journal/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignature$$' -fuzztime 5s ./internal/sig/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecordV3$$' -fuzztime 5s ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzTemporalSignature$$' -fuzztime 5s ./internal/temporal/
 

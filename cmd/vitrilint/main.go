@@ -17,13 +17,10 @@
 // the line above; the summary line counts them.
 //
 // -stats prints a per-analyzer table (findings, suppressions, wall
-// time) plus the module-load and call-graph construction times; -bench
-// writes the same numbers as JSON to the given path, which make
-// lint-stats commits as BENCH_lint.json.
+// time) plus the module-load and call-graph construction times.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,9 +32,8 @@ import (
 
 func main() {
 	stats := flag.Bool("stats", false, "print per-analyzer findings/suppressions/timings")
-	benchOut := flag.String("bench", "", "write per-analyzer stats as JSON to `path`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vitrilint [-stats] [-bench path] [package pattern ...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: vitrilint [-stats] [package pattern ...]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-11s %s\n", a.Name, a.Doc)
 		}
@@ -72,11 +68,6 @@ func main() {
 	if *stats {
 		printStats(res)
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, res); err != nil {
-			fatalf("%v", err)
-		}
-	}
 	if len(res.Diagnostics) > 0 {
 		os.Exit(1)
 	}
@@ -89,32 +80,6 @@ func printStats(res *lint.Result) {
 		fmt.Fprintf(os.Stderr, "%-17s %9d %11d %9.1f\n", s.Name, s.Findings, s.Suppressed, s.Millis)
 	}
 	fmt.Fprintf(os.Stderr, "load %.1fms, call graph %.1fms\n", res.LoadMillis, res.GraphMillis)
-}
-
-// benchFile is the BENCH_lint.json schema.
-type benchFile struct {
-	Packages    int                 `json:"packages"`
-	Findings    int                 `json:"findings"`
-	Suppressed  int                 `json:"suppressed"`
-	LoadMillis  float64             `json:"load_millis"`
-	GraphMillis float64             `json:"graph_millis"`
-	Analyzers   []lint.AnalyzerStat `json:"analyzers"`
-}
-
-func writeBench(path string, res *lint.Result) error {
-	out := benchFile{
-		Packages:    res.Packages,
-		Findings:    len(res.Diagnostics),
-		Suppressed:  res.Suppressed,
-		LoadMillis:  res.LoadMillis,
-		GraphMillis: res.GraphMillis,
-		Analyzers:   res.Stats,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -1,6 +1,7 @@
 package vitri
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -281,5 +282,58 @@ func TestConcurrentCheckpointStress(t *testing.T) {
 		if cerr := db2.CheckIndex(); cerr != nil {
 			t.Fatalf("recovered index inconsistent: %v", cerr)
 		}
+	}
+}
+
+// TestRemoveDuringAddDropsTemporalSignature: a Remove that lands while an
+// Add is still in flight must take the video's temporal signature with
+// it. Goroutine A adds a long video while the test goroutine spins Remove
+// until it succeeds — the first instant the video is visible. The id is
+// then re-added as a bare summary, which has no shot order on record, so
+// SearchTemporal must report Temporal == 0 for it: a signature derived
+// from the removed video's frames must not survive into its successor.
+func TestRemoveDuringAddDropsTemporalSignature(t *testing.T) {
+	const id = 5
+	frames := shotVideo(rand.New(rand.NewSource(51)), []int{0, 1, 2}, 1000)
+	db := New(Options{Epsilon: 0.3, Seed: 1})
+	done := make(chan error, 1)
+	go func() { done <- db.Add(id, frames) }()
+	var addErr error
+	added := false
+	for {
+		err := db.Remove(id)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Remove: %v", err)
+		}
+		if added {
+			t.Fatalf("Add returned %v, yet the video never became removable", addErr)
+		}
+		select {
+		case addErr = <-done:
+			added = true // one more Remove attempt, then give up
+		default:
+		}
+	}
+	if !added {
+		addErr = <-done
+	}
+	if addErr != nil {
+		t.Fatalf("Add: %v", addErr)
+	}
+	if err := db.AddSummary(Summarize(id, frames, 0.3, 1+id)); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := db.SearchTemporal(frames, 1, 0.5, Composed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].VideoID != id {
+		t.Fatalf("SearchTemporal = %+v, want video %d", res, id)
+	}
+	if res[0].Temporal != 0 {
+		t.Fatalf("re-added bare summary reranked by the removed video's shot order: Temporal = %v", res[0].Temporal)
 	}
 }

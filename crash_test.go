@@ -9,6 +9,7 @@ import (
 
 	"vitri/internal/core"
 	"vitri/internal/crashfs"
+	"vitri/internal/storefmt"
 	"vitri/internal/vec"
 	"vitri/internal/vfs"
 )
@@ -569,7 +570,7 @@ func sortInts(a []int) {
 	}
 }
 
-// TestSaveCrashSafety is the v1 regression: Save over an existing store
+// TestSaveCrashSafety is the Save regression: Save over an existing store
 // must never damage it. The old implementation truncated in place
 // (os.Create) before writing; a crash mid-save destroyed both versions.
 // Every post-crash image must load as either the old or the new store.
@@ -605,13 +606,14 @@ func TestSaveCrashSafety(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: store file vanished", st.Desc)
 		}
-		eps, sums, err := readSummaries(bytes.NewReader(data))
+		snap, err := storefmt.Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: store unreadable after crash: %v", st.Desc, err)
 		}
-		if eps != 0.3 {
-			t.Fatalf("%s: epsilon %v", st.Desc, eps)
+		if snap.Epsilon != 0.3 {
+			t.Fatalf("%s: epsilon %v", st.Desc, snap.Epsilon)
 		}
+		sums := snap.Summaries
 		switch first := sums[0].VideoID; {
 		case len(sums) == 4 && first == 1: // old store intact
 		case len(sums) == 7 && first == 10: // new store complete

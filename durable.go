@@ -234,7 +234,7 @@ func openEngine(dir string, opts Options) (*engine, error) {
 		// Seed a fresh store with an empty v3 snapshot so the directory
 		// always carries its epsilon — later opens may pass Epsilon 0 and
 		// adopt it, exactly as with a checkpointed store.
-		seeded := &storefmt.Snapshot{Version: storefmt.Version3, Epsilon: opts.Epsilon}
+		seeded := &storefmt.Snapshot{Epsilon: opts.Epsilon}
 		if err := storefmt.WriteSnapshotFile(fsys, snapPath, seeded); err != nil {
 			return nil, fmt.Errorf("vitri: open durable: seed snapshot: %w", err)
 		}
@@ -424,7 +424,6 @@ func (e *engine) checkpointCapture() (*ckptCapture, error) {
 	return &ckptCapture{
 		dur: dur,
 		snap: &storefmt.Snapshot{
-			Version:   storefmt.Version3,
 			Epsilon:   e.opts.Epsilon,
 			LastSeq:   cut.LastSeq,
 			Summaries: sums,
@@ -490,8 +489,8 @@ type DurabilityStats struct {
 	// Dir is the durable directory.
 	Dir string
 	// SnapshotSeq is the journal sequence folded into the on-disk
-	// snapshot; SnapshotVersion its format (0 before any checkpoint on a
-	// fresh store, 1 for a not-yet-upgraded legacy store).
+	// snapshot; SnapshotVersion its format (3, or 1 or 2 for a legacy
+	// store not yet upgraded by a checkpoint).
 	SnapshotSeq     uint64
 	SnapshotVersion uint32
 	// Checkpoints counts successful Checkpoint calls this process.

@@ -1,15 +1,16 @@
 package vitri
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"vitri/internal/core"
 	"vitri/internal/journal"
 	"vitri/internal/storefmt"
 	"vitri/internal/vfs"
@@ -126,37 +127,55 @@ func TestDurableSearchable(t *testing.T) {
 	}
 }
 
-// TestV1MigratesOnCheckpoint: a legacy v1 store dropped into a durable
-// directory opens, serves, and upgrades to the checksummed v2 format on
-// its next Checkpoint, preserving contents byte-for-byte.
-func TestV1MigratesOnCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	legacy := New(Options{Epsilon: 0.25})
-	for i := 1; i <= 5; i++ {
-		if err := legacy.AddSummary(crashSummary(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snapPath := filepath.Join(dir, "snapshot.vitri")
-	if err := legacy.Save(snapPath); err != nil {
+// legacyGolden returns a storefmt golden: the frozen bytes of a store
+// written by an earlier release (v1, v2, or v3 with the signatures
+// section), which nothing in the tree can write any more, or the current
+// v3 layout.
+func legacyGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("internal", "storefmt", "testdata", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	legacyContents := dbContents(t, legacy)
+	return b
+}
+
+// migrateGolden drops a golden into a fresh durable directory as its
+// snapshot and checks the migration end to end: Load and OpenDurable see
+// identical contents; the store reports the file's version until its
+// first checkpoint, which rewrites it as exactly the v3 encoding of the
+// same store; and Load and a durable reopen of the result see the same
+// contents again. Returns the golden and the checkpointed bytes.
+func migrateGolden(t *testing.T, name string, version uint32) (legacy, migrated []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	legacy = legacyGolden(t, name)
+	snapPath := filepath.Join(dir, snapshotFile)
+	if err := os.WriteFile(snapPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(snapPath, Options{})
+	if err != nil {
+		t.Fatalf("Load %s: %v", name, err)
+	}
+	want := dbContents(t, loaded)
+	if len(want) == 0 {
+		t.Fatalf("%s loaded empty", name)
+	}
 
 	db, err := OpenDurable(dir, Options{})
 	if err != nil {
-		t.Fatalf("OpenDurable over v1 store: %v", err)
+		t.Fatalf("OpenDurable over %s: %v", name, err)
 	}
-	if db.Epsilon() != 0.25 {
-		t.Fatalf("epsilon = %v", db.Epsilon())
+	if db.Epsilon() != loaded.Epsilon() {
+		t.Fatalf("epsilon = %v, Load says %v", db.Epsilon(), loaded.Epsilon())
 	}
-	if st := db.DurabilityStats(); st.SnapshotVersion != storefmt.Version1 {
-		t.Fatalf("pre-migration SnapshotVersion = %d, want %d", st.SnapshotVersion, storefmt.Version1)
+	if st := db.DurabilityStats(); st.SnapshotVersion != version {
+		t.Fatalf("pre-migration SnapshotVersion = %d, want %d", st.SnapshotVersion, version)
 	}
-	if !reflect.DeepEqual(dbContents(t, db), legacyContents) {
-		t.Fatal("v1 contents not preserved on durable open")
+	if !reflect.DeepEqual(dbContents(t, db), want) {
+		t.Fatal("durable open and Load disagree on the legacy contents")
 	}
-
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("migrating checkpoint: %v", err)
 	}
@@ -167,21 +186,27 @@ func TestV1MigratesOnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The file on disk is now genuinely v3 (checksummed, with the
-	// signatures section), still loadable by both Load and OpenDurable
-	// with identical contents.
-	snap, err := storefmt.ReadSnapshotFile(vfs.OS{}, snapPath)
+	// The file on disk is now exactly the v3 encoding of the legacy store:
+	// same epsilon, same LastSeq, byte-identical summaries.
+	old, err := storefmt.Decode(bytes.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != storefmt.Version3 {
-		t.Fatalf("on-disk version = %d", snap.Version)
+	var enc bytes.Buffer
+	if err := storefmt.EncodeV3(&enc, old); err != nil {
+		t.Fatal(err)
 	}
-	loaded, err := Load(snapPath, Options{})
+	if migrated, err = os.ReadFile(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(migrated, enc.Bytes()) {
+		t.Fatalf("checkpoint wrote %d bytes that are not the v3 encoding of %s (%d bytes)", len(migrated), name, enc.Len())
+	}
+	reloaded, err := Load(snapPath, Options{})
 	if err != nil {
 		t.Fatalf("Load of migrated store: %v", err)
 	}
-	if !reflect.DeepEqual(dbContents(t, loaded), legacyContents) {
+	if !reflect.DeepEqual(dbContents(t, reloaded), want) {
 		t.Fatal("migration changed contents")
 	}
 	db2, err := OpenDurable(dir, Options{})
@@ -189,70 +214,41 @@ func TestV1MigratesOnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !reflect.DeepEqual(dbContents(t, db2), legacyContents) {
+	if !reflect.DeepEqual(dbContents(t, db2), want) {
 		t.Fatal("durable reopen of migrated store changed contents")
+	}
+	return legacy, migrated
+}
+
+// TestV1MigratesOnCheckpoint: a legacy v1 store (unchecksummed, as DB.Save
+// wrote it before v3) dropped into a durable directory opens, serves, and
+// upgrades to v3 on its next Checkpoint, preserving contents
+// byte-for-byte.
+func TestV1MigratesOnCheckpoint(t *testing.T) {
+	migrateGolden(t, "store-v1.golden", storefmt.Version1)
+}
+
+// TestV2MigratesOnCheckpoint: a durable DB opened over a v2 snapshot loads
+// it as-is and upgrades the file to v3 at its next checkpoint — the same
+// bytes the codec's current golden pins for the same store.
+func TestV2MigratesOnCheckpoint(t *testing.T) {
+	_, migrated := migrateGolden(t, "store-v2.golden", storefmt.Version2)
+	if !bytes.Equal(migrated, legacyGolden(t, "store-v3.golden")) {
+		t.Fatal("migrated v2 store differs from store-v3.golden")
 	}
 }
 
-// TestV2MigratesOnCheckpoint: a durable DB opened over a v2 snapshot
-// (written by the previous release) loads it as-is and upgrades the file
-// to v3 — summaries byte-preserved, signatures section derived — at its
-// next checkpoint.
-func TestV2MigratesOnCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	var sums []core.Summary
-	for i := 1; i <= 5; i++ {
-		sums = append(sums, crashSummary(i))
+// TestV3SigSectionMigratesOnCheckpoint: a v3 store written with the
+// signatures section opens with that section skipped, and its first
+// checkpoint rewrites it strictly smaller — summaries byte-identical,
+// nothing derived stored — as exactly the current v3 layout.
+func TestV3SigSectionMigratesOnCheckpoint(t *testing.T) {
+	legacy, migrated := migrateGolden(t, "store-v3-sigsection.golden", storefmt.Version3)
+	if len(migrated) >= len(legacy) {
+		t.Fatalf("checkpoint wrote %d bytes, the signature-carrying store had %d", len(migrated), len(legacy))
 	}
-	storefmt.SortSummaries(sums)
-	snapPath := filepath.Join(dir, "snapshot.vitri")
-	v2 := &storefmt.Snapshot{Version: storefmt.Version2, Epsilon: 0.3, LastSeq: 0, Summaries: sums}
-	if err := storefmt.WriteSnapshotFile(vfs.OS{}, snapPath, v2); err != nil {
-		t.Fatalf("write v2 snapshot: %v", err)
-	}
-
-	db, err := OpenDurable(dir, Options{})
-	if err != nil {
-		t.Fatalf("OpenDurable over v2 store: %v", err)
-	}
-	if st := db.DurabilityStats(); st.SnapshotVersion != storefmt.Version2 {
-		t.Fatalf("pre-migration SnapshotVersion = %d, want %d", st.SnapshotVersion, storefmt.Version2)
-	}
-	wantContents := dbContents(t, db)
-	if len(wantContents) != len(sums) {
-		t.Fatalf("loaded %d videos, want %d", len(wantContents), len(sums))
-	}
-
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("migrating checkpoint: %v", err)
-	}
-	if st := db.DurabilityStats(); st.SnapshotVersion != storefmt.Version3 {
-		t.Fatalf("post-migration SnapshotVersion = %d, want %d", st.SnapshotVersion, storefmt.Version3)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	snap, err := storefmt.ReadSnapshotFile(vfs.OS{}, snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != storefmt.Version3 {
-		t.Fatalf("on-disk version = %d, want v3", snap.Version)
-	}
-	if !reflect.DeepEqual(snap.Summaries, sums) {
-		t.Fatal("v2→v3 migration changed the summaries")
-	}
-	if len(snap.Signatures) != len(sums) {
-		t.Fatalf("migrated store carries %d signatures, want %d", len(snap.Signatures), len(sums))
-	}
-	db2, err := OpenDurable(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if !reflect.DeepEqual(dbContents(t, db2), wantContents) {
-		t.Fatal("durable reopen of migrated store changed contents")
+	if !bytes.Equal(migrated, legacyGolden(t, "store-v3.golden")) {
+		t.Fatal("migrated store differs from store-v3.golden")
 	}
 }
 

@@ -9,14 +9,15 @@ import (
 	"vitri/internal/pager"
 	"vitri/internal/shard"
 	"vitri/internal/storefmt"
+	"vitri/internal/temporal"
 )
 
 // engine is one shard: the paper's index — a PCA-optimal one-dimensional
 // transform over one B+-tree — plus the video-id set it holds and, on a
 // durable store, its own snapshot + journal. A DB routes across one or
 // more engines; an engine knows nothing of its siblings, the view lock or
-// the manifest. Every method that touches pending/ix/ids/dur does so
-// under mu.
+// the manifest. Every method that touches pending/ix/ids/tsigs/dur does
+// so under mu.
 type engine struct {
 	mu   sync.RWMutex
 	opts Options // immutable after newEngine
@@ -26,6 +27,13 @@ type engine struct {
 	pending []core.Summary // guarded by mu
 	ix      *index.Index   // guarded by mu
 	ids     map[int]bool   // guarded by mu
+	// tsigs maps video id -> temporal signature for the videos ingested
+	// with frames (Add/AddBatch), the registry SearchTemporal reranks
+	// with. An entry is stored in the critical section that inserts its
+	// summary and deleted in the one that removes it, so it never outlives
+	// its video. Videos added as bare summaries or recovered from a
+	// durable store have no frames to derive order from and no entry.
+	tsigs map[int]*temporal.Signature // guarded by mu
 	// dur is non-nil on a durable store's engines: mutations are
 	// journaled under mu and group-committed (fsynced) after release.
 	// Close nils it.
@@ -53,15 +61,16 @@ type engine struct {
 }
 
 func newEngine(opts Options) *engine {
-	return &engine{opts: opts, ids: make(map[int]bool)}
+	return &engine{opts: opts, ids: make(map[int]bool), tsigs: make(map[int]*temporal.Signature)}
 }
 
 // addSummaryApply is AddSummary's apply phase: validate, apply in memory
-// and journal, all under one mu hold, returning the commit ticket (the
+// (registering ts, the video's temporal signature, when non-nil) and
+// journal, all under one mu hold, returning the commit ticket (the
 // durable state snapshotted under the lock plus the journaled sequence)
 // so the caller can group-commit after every lock — including the DB's
 // view lock — has been released.
-func (e *engine) addSummaryApply(s Summary) (*durableState, uint64, error) {
+func (e *engine) addSummaryApply(s Summary, ts *temporal.Signature) (*durableState, uint64, error) {
 	e.mu.Lock()
 	err := e.addSummaryLocked(s)
 	var seq uint64
@@ -74,11 +83,21 @@ func (e *engine) addSummaryApply(s Summary) (*durableState, uint64, error) {
 		}
 	}
 	if err == nil {
+		e.registerLocked(s.VideoID, ts)
 		err = e.maybeRebuildLocked()
 	}
 	dur := e.dur // snapshotted under the lock; see commitSeq
 	e.mu.Unlock()
 	return dur, seq, err
+}
+
+// registerLocked records an applied video's temporal signature; a nil ts
+// (a video ingested without frames) registers nothing. Caller holds the
+// write lock.
+func (e *engine) registerLocked(videoID int, ts *temporal.Signature) {
+	if ts != nil {
+		e.tsigs[videoID] = ts
+	}
 }
 
 // rollbackAddLocked undoes an addSummaryLocked whose journal append
@@ -115,12 +134,14 @@ func (e *engine) addSummaryLocked(s Summary) error {
 
 // applyBatch is AddBatch's apply phase on one shard: the summaries at
 // indices mine (ascending, preserving input order) are validated,
-// applied and journaled under a single mu hold, skipping slots whose
-// itemErrs entry is already set and writing failures into their slots.
+// applied and journaled, with their temporal signatures (tsigs, parallel
+// to summaries, nil entries allowed) registered, under a single mu hold,
+// skipping slots whose itemErrs entry is already set and writing
+// failures into their slots.
 // Returns the commit ticket for the caller's group commit; the DB calls
 // this concurrently on different shards with disjoint index sets, so the
 // shared slices are written race-free.
-func (e *engine) applyBatch(summaries []core.Summary, mine []int, itemErrs []error) (*durableState, uint64, error) {
+func (e *engine) applyBatch(summaries []core.Summary, tsigs []*temporal.Signature, mine []int, itemErrs []error) (*durableState, uint64, error) {
 	e.mu.Lock()
 	var maxSeq uint64
 	// A failed journal append poisons the writer: every later append can
@@ -156,6 +177,7 @@ func (e *engine) applyBatch(summaries []core.Summary, mine []int, itemErrs []err
 			}
 			continue
 		}
+		e.registerLocked(summaries[i].VideoID, tsigs[i])
 		if seq > maxSeq {
 			maxSeq = seq
 		}
@@ -190,8 +212,8 @@ func (e *engine) removeApply(videoID int) (*durableState, uint64, error) {
 	return dur, seq, err
 }
 
-// removeLocked deletes a video from the in-memory state. Caller holds
-// the write lock.
+// removeLocked deletes a video, and its temporal signature, from the
+// in-memory state. Caller holds the write lock.
 func (e *engine) removeLocked(videoID int) error {
 	if !e.ids[videoID] {
 		return fmt.Errorf("%w: %d", ErrNotFound, videoID)
@@ -203,13 +225,11 @@ func (e *engine) removeLocked(videoID int) error {
 				break
 			}
 		}
-		delete(e.ids, videoID)
-		return nil
-	}
-	if err := e.ix.Remove(videoID); err != nil {
+	} else if err := e.ix.Remove(videoID); err != nil {
 		return err
 	}
 	delete(e.ids, videoID)
+	delete(e.tsigs, videoID)
 	return nil
 }
 
@@ -305,6 +325,14 @@ func (e *engine) rebuild() error {
 		return err
 	}
 	return e.ix.Rebuild()
+}
+
+// temporalSig returns a video's registered temporal signature, nil when
+// it has none. Signatures are immutable once registered.
+func (e *engine) temporalSig(videoID int) *temporal.Signature {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.tsigs[videoID]
 }
 
 func (e *engine) len() int {

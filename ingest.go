@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"vitri/internal/core"
+	"vitri/internal/temporal"
 )
 
 // Video pairs a video id with its frame feature vectors, the unit of work
@@ -44,30 +45,18 @@ func (db *DB) AddBatch(videos []Video) ([]error, error) {
 	if len(videos) == 0 {
 		return nil, nil
 	}
-	summaries, itemErrs := db.summarizeBatch(videos)
-	itemErrs, batchErr := db.addBatch(summaries, itemErrs)
-	db.registerBatchTemporal(videos, summaries, itemErrs)
-	return itemErrs, batchErr
+	summaries, tsigs, itemErrs := db.summarizeBatch(videos)
+	return db.addBatch(summaries, tsigs, itemErrs)
 }
 
-// registerBatchTemporal records the temporal signature of every video the
-// batch durably inserted (nil item error), mirroring what Add does for
-// single inserts. Runs after every database lock is released; the
-// temporal registry is a leaf lock.
-func (db *DB) registerBatchTemporal(videos []Video, summaries []core.Summary, itemErrs []error) {
-	for i := range videos {
-		if itemErrs[i] == nil {
-			db.registerTemporal(videos[i].Frames, &summaries[i])
-		}
-	}
-}
-
-// summarizeBatch is AddBatch's CPU-bound phase: one summary per video,
+// summarizeBatch is AddBatch's CPU-bound phase: one summary and one
+// temporal signature per video (what Add derives for a single insert),
 // computed by the worker pool, with per-item validation errors in the
 // matching itemErrs slots. It touches no database state beyond the
 // immutable options, so it runs once for all shards.
-func (db *DB) summarizeBatch(videos []Video) ([]core.Summary, []error) {
+func (db *DB) summarizeBatch(videos []Video) ([]core.Summary, []*temporal.Signature, []error) {
 	summaries := make([]core.Summary, len(videos))
+	tsigs := make([]*temporal.Signature, len(videos))
 	itemErrs := make([]error, len(videos))
 	workers := min(runtime.GOMAXPROCS(0), len(videos))
 	// Workers claim videos from an atomic cursor. Which worker summarizes
@@ -95,11 +84,12 @@ func (db *DB) summarizeBatch(videos []Video) ([]core.Summary, []error) {
 					Epsilon: db.opts.Epsilon,
 					Seed:    db.opts.Seed + int64(v.ID),
 				})
+				tsigs[i] = temporalSig(v.Frames, &summaries[i])
 			}
 		}()
 	}
 	wg.Wait()
-	return summaries, itemErrs
+	return summaries, tsigs, itemErrs
 }
 
 // BuildParallel summarizes videos across a worker pool, bulk-loads them

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"vitri/internal/storefmt"
 )
 
 // ingestCorpus builds a deterministic batch of synthetic videos with
@@ -32,12 +34,12 @@ func storeBytes(t *testing.T, db *DB) []byte {
 	return encodeStore(t, db.opts.Epsilon, sums)
 }
 
-// encodeStore renders summaries in the on-disk v1 format.
+// encodeStore renders summaries in the on-disk format.
 func encodeStore(t *testing.T, epsilon float64, sums []Summary) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeSummaries(&buf, epsilon, sums); err != nil {
-		t.Fatalf("writeSummaries: %v", err)
+	if err := storefmt.EncodeV3(&buf, &storefmt.Snapshot{Epsilon: epsilon, Summaries: sums}); err != nil {
+		t.Fatalf("EncodeV3: %v", err)
 	}
 	return buf.Bytes()
 }

@@ -248,14 +248,28 @@ func collectPositions(summaries []core.Summary) ([]vec.Vector, error) {
 	return out, nil
 }
 
-// accumulate folds a position into the running covariance sums.
+// accumulate folds a position into the running covariance sums. The
+// inner loop is Build's hot spot (dim² updates per triplet) and is
+// unrolled four-wide: one element per iteration leaves it bound by loop
+// overhead, whose cost swings by a fifth with where the linker happens
+// to place the loop. Every element still receives the same single
+// product in the same order, so the sums are bit-identical.
 func (ix *Index) accumulate(p vec.Vector) {
 	ix.posCount++
 	for i, v := range p {
 		ix.posSum[i] += v
 		row := ix.posOuter[i*ix.dim : (i+1)*ix.dim]
-		for j, w := range p {
-			row[j] += v * w
+		row = row[:len(p)]
+		j := 0
+		for ; j+4 <= len(p); j += 4 {
+			r, q := row[j:j+4:j+4], p[j:j+4:j+4]
+			r[0] += v * q[0]
+			r[1] += v * q[1]
+			r[2] += v * q[2]
+			r[3] += v * q[3]
+		}
+		for ; j < len(p); j++ {
+			row[j] += v * p[j]
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// AnalyzerStat is one analyzer's contribution to a run, for the
-// lint-stats summary and BENCH_lint.json.
+// AnalyzerStat is one analyzer's contribution to a run, for vitrilint's
+// -stats table.
 type AnalyzerStat struct {
-	Name       string  `json:"name"`
-	Findings   int     `json:"findings"` // unsuppressed
-	Suppressed int     `json:"suppressed"`
-	Millis     float64 `json:"millis"`
+	Name       string
+	Findings   int // unsuppressed
+	Suppressed int
+	Millis     float64
 }
 
 // Result is one vitrilint run's outcome.

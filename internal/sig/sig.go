@@ -29,9 +29,6 @@
 package sig
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -47,10 +44,6 @@ const Cells = 4
 // distance bound, so floating-point rounding in cell assignment can
 // never turn a true intersection into a prune.
 const margin = 1e-9
-
-// maxWords bounds the decoded signature width against hostile input:
-// 4096 words cover 262144 dimensions, far beyond any real corpus.
-const maxWords = 4096
 
 // CellWidth returns the grid cell width for summarization threshold ε.
 // ε/3 places typical triplet radii (a fraction of ε) within one or two
@@ -172,99 +165,4 @@ func GapScore(q, t *Signature) int {
 func Prune(score int, radiusSum, w float64) bool {
 	th := (radiusSum + margin) / w
 	return float64(score) > th*th
-}
-
-// EncodedSize returns the byte length of an encoded signature with the
-// given per-plane word count.
-func EncodedSize(words int) int { return 4 + 8 + Cells*8*words }
-
-// Encode serializes the signature: words u32 | maxRadius f64 | planes
-// (Cells × words × u64), little-endian throughout. dst must be exactly
-// EncodedSize(s.Words()) bytes.
-func (s *Signature) Encode(dst []byte) error {
-	words := s.Words()
-	if len(dst) != EncodedSize(words) {
-		return fmt.Errorf("sig: encode buffer %d bytes, want %d", len(dst), EncodedSize(words))
-	}
-	binary.LittleEndian.PutUint32(dst[0:], uint32(words))
-	binary.LittleEndian.PutUint64(dst[4:], math.Float64bits(s.MaxRadius))
-	off := 12
-	for c := range s.Planes {
-		for _, w := range s.Planes[c] {
-			binary.LittleEndian.PutUint64(dst[off:], w)
-			off += 8
-		}
-	}
-	return nil
-}
-
-// Decode parses an encoded signature, validating against hostile input:
-// the word count must be in (0, maxWords], the buffer length must match
-// it exactly, and the radius must be finite and non-negative. The byte
-// cost of a decode is bounded before any allocation.
-func Decode(src []byte) (*Signature, error) {
-	if len(src) < 12 {
-		return nil, fmt.Errorf("sig: %d bytes, want at least 12", len(src))
-	}
-	words := binary.LittleEndian.Uint32(src[0:])
-	if words == 0 || words > maxWords {
-		return nil, fmt.Errorf("sig: word count %d out of range (0, %d]", words, maxWords)
-	}
-	if len(src) != EncodedSize(int(words)) {
-		return nil, fmt.Errorf("sig: %d bytes, want %d for %d words", len(src), EncodedSize(int(words)), words)
-	}
-	r := math.Float64frombits(binary.LittleEndian.Uint64(src[4:]))
-	if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-		return nil, fmt.Errorf("sig: max radius %v not finite and non-negative", r)
-	}
-	var s Signature
-	s.MaxRadius = r
-	off := 12
-	for c := range s.Planes {
-		s.Planes[c] = make([]uint64, words)
-		for i := range s.Planes[c] {
-			s.Planes[c][i] = binary.LittleEndian.Uint64(src[off:])
-			off += 8
-		}
-	}
-	return &s, nil
-}
-
-// ReadFrom decodes one signature from a stream: it reads the fixed
-// header, bounds the word count before allocating, then reads exactly
-// the remaining payload. Validation is identical to Decode.
-func ReadFrom(r io.Reader) (*Signature, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	words := binary.LittleEndian.Uint32(hdr[0:])
-	if words == 0 || words > maxWords {
-		return nil, fmt.Errorf("sig: word count %d out of range (0, %d]", words, maxWords)
-	}
-	buf := make([]byte, EncodedSize(int(words)))
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[12:]); err != nil {
-		return nil, err
-	}
-	return Decode(buf)
-}
-
-// Equal reports whether two signatures are identical (same width, same
-// planes, same max radius down to the float bits).
-func Equal(a, b *Signature) bool {
-	if a.Words() != b.Words() {
-		return false
-	}
-	if math.Float64bits(a.MaxRadius) != math.Float64bits(b.MaxRadius) {
-		return false
-	}
-	for c := range a.Planes {
-		for i := range a.Planes[c] {
-			if a.Planes[c][i] != b.Planes[c][i] {
-				return false
-			}
-		}
-	}
-	return true
 }

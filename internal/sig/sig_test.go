@@ -160,58 +160,6 @@ func abs(x int) int {
 	return x
 }
 
-// TestEncodeDecodeRoundTrip: the codec must preserve every plane bit and
-// the radius float exactly, at widths that do and do not fill the last
-// word.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, dim := range []int{1, 63, 64, 65, 128, 200} {
-		s := New(dim)
-		for c := range s.Planes {
-			for i := range s.Planes[c] {
-				s.Planes[c][i] = rng.Uint64()
-			}
-		}
-		s.MaxRadius = rng.Float64()
-		buf := make([]byte, EncodedSize(s.Words()))
-		if err := s.Encode(buf); err != nil {
-			t.Fatalf("dim %d: encode: %v", dim, err)
-		}
-		got, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("dim %d: decode: %v", dim, err)
-		}
-		if !Equal(s, got) {
-			t.Fatalf("dim %d: round trip lost data", dim)
-		}
-	}
-}
-
-// TestDecodeHostile: truncated, oversized, and non-finite inputs must
-// error, never panic or decode to something plausible.
-func TestDecodeHostile(t *testing.T) {
-	valid := make([]byte, EncodedSize(1))
-	if err := FromTriplet(vec.Vector{0.5}, 0.1, 0.1).Encode(valid); err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":      {},
-		"short":      valid[:8],
-		"truncated":  valid[:len(valid)-1],
-		"padded":     append(append([]byte{}, valid...), 0),
-		"zero words": {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"huge words": {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
-		"nan radius": {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"inf radius": {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"neg radius": {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0xbf, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-	}
-	for name, src := range cases {
-		if _, err := Decode(src); err == nil {
-			t.Errorf("%s: decode accepted hostile input", name)
-		}
-	}
-}
-
 // TestCellWidthDataIndependent pins the property shard equivalence
 // rests on: the grid is a pure function of ε.
 func TestCellWidthDataIndependent(t *testing.T) {

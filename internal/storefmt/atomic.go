@@ -114,8 +114,7 @@ func (w *chunkSyncWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteSnapshotFile writes snap via the atomic discipline in the format
-// snap.Version names (Version2 or Version3).
+// WriteSnapshotFile writes snap as v3 via the atomic discipline.
 func WriteSnapshotFile(fsys vfs.FS, path string, snap *Snapshot) error {
 	return WriteSnapshotFileGated(fsys, path, snap, nil)
 }
@@ -124,10 +123,7 @@ func WriteSnapshotFile(fsys vfs.FS, path string, snap *Snapshot) error {
 // routed through gate — the checkpoint's variant, see SyncGate.
 func WriteSnapshotFileGated(fsys vfs.FS, path string, snap *Snapshot, gate SyncGate) error {
 	return WriteFileAtomicGated(fsys, path, gate, func(w io.Writer) error {
-		if snap.Version == Version3 {
-			return EncodeV3(w, snap)
-		}
-		return EncodeV2(w, snap)
+		return EncodeV3(w, snap)
 	})
 }
 

@@ -1,27 +1,27 @@
 // Package storefmt defines the on-disk summary store formats and the
-// write discipline that keeps them crash-safe.
+// write discipline that keeps them crash-safe. It reads three formats and
+// writes one.
 //
-// Three formats coexist:
-//
-//   - v1 ("VITRIDB1") is the legacy single-stream layout DB.Save has
-//     always written: magic, version, epsilon, then the summary records.
-//     It carries no checksums; a torn write is detectable only as a
-//     decode error.
-//   - v2 ("VITRIDB2") is the sectioned durable-store snapshot: every
-//     section carries a CRC32C of its payload, followed by a sealed
-//     footer holding a whole-file CRC32C and the total length. A v2 file
-//     either decodes with every checksum intact or is rejected — there
-//     is no silent partial read.
-//   - v3 ("VITRIDB3") is v2 plus a signatures section carrying the
-//     per-video pre-filter signatures (internal/sig), derived from the
-//     summaries at encode time. The section is optional on read and
-//     purely derived data — the float64 summaries remain authoritative.
+//   - v1 ("VITRIDB1") is the legacy single-stream layout: magic, version,
+//     epsilon, then the summary records. It carries no checksums; a torn
+//     write is detectable only as a decode error. Read only.
+//   - v2 ("VITRIDB2") is the sealed sectioned layout (see sections.go):
+//     meta and summaries sections, each with a CRC32C of its payload,
+//     followed by a sealed footer holding a whole-file CRC32C and the
+//     total length. A sectioned file either decodes with every checksum
+//     intact or is rejected — there is no silent partial read. Read only.
+//   - v3 ("VITRIDB3") is the same sealed layout under its own magic, and
+//     the only format written (EncodeV3). It stores the summaries and
+//     nothing derived from them: the index rebuilds every signature from
+//     the summaries on load. v3 files written by earlier releases also
+//     carry a signatures section (id 3); readers skip it like any unknown
+//     section.
 //
 // Decode sniffs the magic and reads any format, which is what makes
 // migration transparent: a durable DB opened over a v1 or v2 snapshot
 // loads it and writes v3 at its next checkpoint.
 //
-// Both formats share one per-summary record codec (EncodeSummary /
+// Every format shares one per-summary record codec (EncodeSummary /
 // DecodeSummary), which the delta journal also uses for its Add records,
 // so a summary has exactly one byte representation everywhere.
 //
@@ -40,7 +40,6 @@ import (
 	"math"
 
 	"vitri/internal/core"
-	"vitri/internal/sig"
 )
 
 // Format magics. All are 8 bytes so the header shape is shared.
@@ -64,7 +63,8 @@ const maxReasonable = 100_000_000
 
 // Snapshot is a decoded store of any version.
 type Snapshot struct {
-	// Version is the format the bytes were in (Version1–Version3).
+	// Version is the format the bytes were decoded from (Version1–
+	// Version3); writers ignore it and always emit Version3.
 	Version uint32
 	// Epsilon is the similarity threshold the summaries were built at.
 	Epsilon float64
@@ -74,12 +74,6 @@ type Snapshot struct {
 	LastSeq uint64
 	// Summaries is the store's contents.
 	Summaries []core.Summary
-	// Signatures holds the per-video pre-filter signatures from a v3
-	// file's signatures section, keyed by video id. Nil for v1/v2 files
-	// and for v3 files written without the section. Derived data: the
-	// index rebuilds signatures from Summaries on load, so this exists
-	// for verification and tooling, not correctness.
-	Signatures map[int32]*sig.Signature
 }
 
 // EncodeSummary writes one summary record: video id, frame count,
@@ -211,20 +205,6 @@ func validEpsilon(eps float64) bool {
 	return eps > 0 && !math.IsInf(eps, 0)
 }
 
-// EncodeV1 writes the legacy single-stream format.
-func EncodeV1(w io.Writer, epsilon float64, sums []core.Summary) error {
-	if _, err := io.WriteString(w, MagicV1); err != nil {
-		return err
-	}
-	if err := binWrite(w, Version1); err != nil {
-		return err
-	}
-	if err := binWrite(w, math.Float64bits(epsilon)); err != nil {
-		return err
-	}
-	return encodeSummaries(w, sums)
-}
-
 // decodeV1Body reads everything after the v1 magic and version.
 func decodeV1Body(r io.Reader) (*Snapshot, error) {
 	var epsBits uint64
@@ -242,8 +222,8 @@ func decodeV1Body(r io.Reader) (*Snapshot, error) {
 	return &Snapshot{Version: Version1, Epsilon: eps, Summaries: sums}, nil
 }
 
-// Decode sniffs the magic and reads either format. v2 input is fully
-// checksum-verified; any mismatch is an error.
+// Decode sniffs the magic and reads any format. Sectioned (v2/v3) input
+// is fully checksum-verified; any mismatch is an error.
 func Decode(r io.Reader) (*Snapshot, error) {
 	magic := make([]byte, len(MagicV1))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -263,12 +243,12 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		if version != Version2 {
 			return nil, fmt.Errorf("unsupported v2 store version %d", version)
 		}
-		return decodeV2Body(r)
+		return decodeSnapshotBody(r, MagicV2, Version2)
 	case string(magic) == MagicV3:
 		if version != Version3 {
 			return nil, fmt.Errorf("unsupported v3 store version %d", version)
 		}
-		return decodeV3Body(r)
+		return decodeSnapshotBody(r, MagicV3, Version3)
 	}
 	return nil, errors.New("not a vitri summary store")
 }

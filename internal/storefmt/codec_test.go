@@ -13,10 +13,29 @@ import (
 	"vitri/internal/vfs"
 )
 
-// -update regenerates the golden store files from the canonical test
-// snapshot. The goldens pin both wire formats: an accidental format
-// change fails TestGolden until the goldens are deliberately refreshed.
-var update = flag.Bool("update", false, "rewrite golden files")
+// -update regenerates store-v3.golden from the canonical test snapshot.
+// The golden pins the one written format: an accidental format change
+// fails TestGolden until the golden is deliberately refreshed.
+var update = flag.Bool("update", false, "rewrite the generated golden file")
+
+// The goldens under testdata/. store-v3.golden is what EncodeV3 writes
+// today; the others are frozen bytes written by earlier releases — v1,
+// v2, and v3 with the signatures section — which no encoder in the tree
+// can produce any more. -update never touches them: they are the
+// compatibility contract that stores already on disk keep loading.
+const currentGolden = "store-v3.golden"
+
+var frozenGoldens = []string{"store-v1.golden", "store-v2.golden", "store-v3-sigsection.golden"}
+
+// golden returns the bytes of a testdata golden.
+func golden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatalf("read golden %s: %v", name, err)
+	}
+	return b
+}
 
 // testSummaries is the canonical fixture: a handful of small summaries
 // with varying triplet counts and dimensionalities exercised by every
@@ -36,69 +55,46 @@ func testSummaries() []core.Summary {
 }
 
 func testSnapshot() *Snapshot {
-	return &Snapshot{Version: Version2, Epsilon: 0.3, LastSeq: 42, Summaries: testSummaries()}
+	return &Snapshot{Version: Version3, Epsilon: 0.3, LastSeq: 42, Summaries: testSummaries()}
 }
 
-func TestRoundTripV1(t *testing.T) {
-	sums := testSummaries()
-	var buf bytes.Buffer
-	if err := EncodeV1(&buf, 0.3, sums); err != nil {
-		t.Fatalf("EncodeV1: %v", err)
-	}
-	snap, err := Decode(bytes.NewReader(buf.Bytes()))
+// checkLegacyGolden decodes a frozen legacy golden, checks its header
+// and contents, and re-encodes it as v3: the codec-level migration.
+func checkLegacyGolden(t *testing.T, file string, version uint32, lastSeq uint64) {
+	t.Helper()
+	snap, err := Decode(bytes.NewReader(golden(t, file)))
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("Decode %s: %v", file, err)
 	}
-	if snap.Version != Version1 {
-		t.Fatalf("Version = %d, want %d", snap.Version, Version1)
+	if snap.Version != version || snap.Epsilon != 0.3 || snap.LastSeq != lastSeq {
+		t.Fatalf("%s header = (%d, %v, %d), want (%d, 0.3, %d)", file, snap.Version, snap.Epsilon, snap.LastSeq, version, lastSeq)
 	}
-	if snap.Epsilon != 0.3 || snap.LastSeq != 0 {
-		t.Fatalf("header = (%v, %d), want (0.3, 0)", snap.Epsilon, snap.LastSeq)
+	if !reflect.DeepEqual(snap.Summaries, testSummaries()) {
+		t.Fatalf("%s: summaries differ from the fixture", file)
 	}
-	if !reflect.DeepEqual(snap.Summaries, sums) {
-		t.Fatal("summaries did not round-trip")
+	var buf bytes.Buffer
+	if err := EncodeV3(&buf, snap); err != nil {
+		t.Fatalf("EncodeV3: %v", err)
 	}
-	// Encoding is deterministic: same input, same bytes.
-	var buf2 bytes.Buffer
-	if err := EncodeV1(&buf2, 0.3, sums); err != nil {
-		t.Fatalf("EncodeV1 again: %v", err)
+	again, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("Decode re-encoded %s: %v", file, err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("EncodeV1 is not deterministic")
+	if again.Version != Version3 || again.Epsilon != snap.Epsilon || again.LastSeq != snap.LastSeq ||
+		!reflect.DeepEqual(again.Summaries, snap.Summaries) {
+		t.Fatalf("%s: v3 re-encode did not preserve the store", file)
 	}
 }
 
-func TestRoundTripV2(t *testing.T) {
-	want := testSnapshot()
-	var buf bytes.Buffer
-	if err := EncodeV2(&buf, want); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
-	}
-	snap, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if snap.Version != Version2 || snap.Epsilon != want.Epsilon || snap.LastSeq != want.LastSeq {
-		t.Fatalf("header = (%d, %v, %d), want (%d, %v, %d)",
-			snap.Version, snap.Epsilon, snap.LastSeq, want.Version, want.Epsilon, want.LastSeq)
-	}
-	if !reflect.DeepEqual(snap.Summaries, want.Summaries) {
-		t.Fatal("summaries did not round-trip")
-	}
-	var buf2 bytes.Buffer
-	if err := EncodeV2(&buf2, want); err != nil {
-		t.Fatalf("EncodeV2 again: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("EncodeV2 is not deterministic")
-	}
-}
+func TestRoundTripV1(t *testing.T) { checkLegacyGolden(t, "store-v1.golden", Version1, 0) }
+
+func TestRoundTripV2(t *testing.T) { checkLegacyGolden(t, "store-v2.golden", Version2, 42) }
 
 func TestRoundTripEmpty(t *testing.T) {
-	snap := &Snapshot{Version: Version2, Epsilon: 0.5, LastSeq: 7}
+	snap := &Snapshot{Epsilon: 0.5, LastSeq: 7}
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, snap); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
+	if err := EncodeV3(&buf, snap); err != nil {
+		t.Fatalf("EncodeV3: %v", err)
 	}
 	got, err := Decode(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -109,16 +105,12 @@ func TestRoundTripEmpty(t *testing.T) {
 	}
 }
 
-// TestV2DetectsCorruption flips every byte of a v2 store in turn; the
-// checksums must catch each one. This is the property the whole
-// durability design leans on: a v2 snapshot is either valid or loudly
-// rejected, never silently wrong.
-func TestV2DetectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeV2(&buf, testSnapshot()); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
-	}
-	valid := buf.Bytes()
+// requireFlipsDetected flips every byte of a sectioned store in turn;
+// the checksums must reject each one. This is the property the whole
+// durability design leans on: a sectioned snapshot is either valid or
+// loudly rejected, never silently wrong.
+func requireFlipsDetected(t *testing.T, valid []byte) {
+	t.Helper()
 	for i := range valid {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
@@ -128,21 +120,21 @@ func TestV2DetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestV2DetectsTruncation checks every proper prefix is rejected — a v2
-// snapshot is sealed by its footer, so a torn write can't masquerade as
-// a shorter valid store.
-func TestV2DetectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeV2(&buf, testSnapshot()); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
-	}
-	valid := buf.Bytes()
+// requirePrefixesRejected tries every proper prefix of a sectioned store:
+// it is sealed by its footer, so a torn write can't masquerade as a
+// shorter valid store.
+func requirePrefixesRejected(t *testing.T, valid []byte) {
+	t.Helper()
 	for n := 0; n < len(valid); n++ {
 		if _, err := Decode(bytes.NewReader(valid[:n])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes went undetected", n, len(valid))
 		}
 	}
 }
+
+func TestV2DetectsCorruption(t *testing.T) { requireFlipsDetected(t, golden(t, "store-v2.golden")) }
+
+func TestV2DetectsTruncation(t *testing.T) { requirePrefixesRejected(t, golden(t, "store-v2.golden")) }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
@@ -168,66 +160,32 @@ func TestSortSummaries(t *testing.T) {
 	}
 }
 
-// TestGolden pins both wire formats byte-for-byte. The files under
-// testdata/ are the compatibility contract: stores written by past
-// releases must keep loading, so changing either encoder fails here
-// until the change is an explicitly versioned new format.
+// TestGolden pins the written format byte-for-byte and the read side
+// against every format ever written: all four goldens must decode to the
+// canonical fixture at the same epsilon — the v1→v2→v3 migration
+// invariant at the codec level.
 func TestGolden(t *testing.T) {
-	var v1, v2, v3 bytes.Buffer
-	if err := EncodeV1(&v1, 0.3, testSummaries()); err != nil {
-		t.Fatalf("EncodeV1: %v", err)
-	}
-	if err := EncodeV2(&v2, testSnapshot()); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
-	}
-	if err := EncodeV3(&v3, testSnapshotV3()); err != nil {
+	var v3 bytes.Buffer
+	if err := EncodeV3(&v3, testSnapshot()); err != nil {
 		t.Fatalf("EncodeV3: %v", err)
 	}
-	for _, tc := range []struct {
-		file string
-		got  []byte
-	}{
-		{"store-v1.golden", v1.Bytes()},
-		{"store-v2.golden", v2.Bytes()},
-		{"store-v3.golden", v3.Bytes()},
-	} {
-		path := filepath.Join("testdata", tc.file)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	path := filepath.Join("testdata", currentGolden)
+	if *update {
+		if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
+	}
+	if want := golden(t, currentGolden); !bytes.Equal(v3.Bytes(), want) {
+		t.Fatalf("%s: encoder output diverged from golden (%d vs %d bytes)", currentGolden, v3.Len(), len(want))
+	}
+	for _, file := range append([]string{currentGolden}, frozenGoldens...) {
+		snap, err := Decode(bytes.NewReader(golden(t, file)))
 		if err != nil {
-			t.Fatalf("read golden (run with -update to regenerate): %v", err)
+			t.Fatalf("decode %s: %v", file, err)
 		}
-		if !bytes.Equal(tc.got, want) {
-			t.Errorf("%s: encoder output diverged from golden (%d vs %d bytes)", tc.file, len(tc.got), len(want))
+		if snap.Epsilon != 0.3 || !reflect.DeepEqual(snap.Summaries, testSummaries()) {
+			t.Fatalf("%s decodes to different contents", file)
 		}
-	}
-	// All goldens must decode to the same logical content — the
-	// v1→v2→v3 migration invariant at the codec level.
-	s1, err := Decode(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("decode v1 golden: %v", err)
-	}
-	s2, err := Decode(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("decode v2 golden: %v", err)
-	}
-	s3, err := Decode(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatalf("decode v3 golden: %v", err)
-	}
-	if !reflect.DeepEqual(s1.Summaries, s2.Summaries) || s1.Epsilon != s2.Epsilon {
-		t.Fatal("v1 and v2 goldens decode to different contents")
-	}
-	if !reflect.DeepEqual(s2.Summaries, s3.Summaries) || s2.Epsilon != s3.Epsilon {
-		t.Fatal("v2 and v3 goldens decode to different contents")
 	}
 }
 
@@ -241,7 +199,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSnapshotFile: %v", err)
 	}
-	if !reflect.DeepEqual(got.Summaries, snap.Summaries) {
+	if got.Version != Version3 || !reflect.DeepEqual(got.Summaries, snap.Summaries) {
 		t.Fatal("snapshot did not round-trip through the filesystem")
 	}
 	// The temp file must not linger.

@@ -4,117 +4,51 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-
-	"vitri/internal/sig"
+	"math"
 )
 
-// Store format v3: the same sealed sectioned layout as v2 (see
-// sections.go) under magic "VITRIDB3", plus a signatures section
-// carrying the per-video pre-filter signatures (internal/sig) so a
-// reopened store can verify or adopt the memory-resident tier without
-// recomputation. The exact float64 summaries remain the authoritative
-// payload — signatures are derived data, always recomputable from the
-// summaries and ε, and the encoder always derives them fresh so a v3
-// file cannot carry signatures that disagree with its summaries.
+// The sectioned formats (v2 and v3) share the sealed layout of
+// sections.go and the same two sections; only the magic and version
+// differ. v3 is the one format written.
 
-// sectionSignatures holds count-prefixed (videoID uint32, encoded
-// signature) pairs; see internal/sig for the signature codec.
-const sectionSignatures = uint32(3)
+// Section ids. Id 3 held the per-video pre-filter signatures in v3 files
+// written by earlier releases; it is no longer written or parsed, and
+// decodeSectioned skips it (its checksum still verified) like any other
+// unknown id.
+const (
+	// sectionMeta holds epsilon (float64 bits) and LastSeq (uint64).
+	sectionMeta = uint32(1)
+	// sectionSummaries holds the count-prefixed summary records.
+	sectionSummaries = uint32(2)
+)
 
-// encodeSignaturesSection derives every video's signature from its
-// summary. Videos with no triplets are skipped: they have no geometry to
-// prune, and a zero-dimension signature has no valid encoding.
-func encodeSignaturesSection(snap *Snapshot) ([]byte, error) {
-	w := sig.CellWidth(snap.Epsilon)
-	var body bytes.Buffer
-	n := uint32(0)
-	for i := range snap.Summaries {
-		if len(snap.Summaries[i].Triplets) > 0 {
-			n++
-		}
-	}
-	if err := binWrite(&body, n); err != nil {
-		return nil, err
-	}
-	for i := range snap.Summaries {
-		s := &snap.Summaries[i]
-		if len(s.Triplets) == 0 {
-			continue
-		}
-		if err := binWrite(&body, uint32(s.VideoID)); err != nil {
-			return nil, err
-		}
-		vs := sig.FromSummary(s, len(s.Triplets[0].Position), w)
-		buf := make([]byte, sig.EncodedSize(vs.Words()))
-		if err := vs.Encode(buf); err != nil {
-			return nil, err
-		}
-		if _, err := body.Write(buf); err != nil {
-			return nil, err
-		}
-	}
-	return body.Bytes(), nil
-}
-
-// decodeSignaturesSection parses the signature pairs; duplicate video
-// ids are rejected.
-func decodeSignaturesSection(r io.Reader) (map[int32]*sig.Signature, error) {
-	var count uint32
-	if err := binRead(r, &count); err != nil {
-		return nil, err
-	}
-	if count > maxReasonable {
-		return nil, fmt.Errorf("implausible signature count %d", count)
-	}
-	out := make(map[int32]*sig.Signature, capHint(count))
-	for i := uint32(0); i < count; i++ {
-		var vid uint32
-		if err := binRead(r, &vid); err != nil {
-			return nil, err
-		}
-		s, err := sig.ReadFrom(r)
-		if err != nil {
-			return nil, fmt.Errorf("signature for video %d: %w", int32(vid), err)
-		}
-		if _, dup := out[int32(vid)]; dup {
-			return nil, fmt.Errorf("duplicate signature for video %d", int32(vid))
-		}
-		out[int32(vid)] = s
-	}
-	return out, nil
-}
-
-// EncodeV3 writes snap in the v3 sealed sectioned format: meta,
-// summaries, and the derived signatures section.
+// EncodeV3 writes snap in the v3 sealed sectioned format: the meta and
+// summaries sections. snap.Version is ignored.
 func EncodeV3(w io.Writer, snap *Snapshot) error {
-	meta, err := encodeMetaSection(snap)
-	if err != nil {
+	var meta bytes.Buffer
+	if err := binWrite(&meta, math.Float64bits(snap.Epsilon)); err != nil {
+		return err
+	}
+	if err := binWrite(&meta, snap.LastSeq); err != nil {
 		return err
 	}
 	var body bytes.Buffer
 	if err := encodeSummaries(&body, snap.Summaries); err != nil {
 		return err
 	}
-	sigs, err := encodeSignaturesSection(snap)
-	if err != nil {
-		return err
-	}
 	return encodeSectioned(w, MagicV3, Version3, []storeSection{
-		{sectionMeta, meta},
+		{sectionMeta, meta.Bytes()},
 		{sectionSummaries, body.Bytes()},
-		{sectionSignatures, sigs},
 	})
 }
 
-// decodeV3Body reads everything after the v3 magic and version. The
-// signatures section is optional on read (a tolerant reader, like
-// unknown-id skipping), but when present every signature must belong to
-// a summarized video — a signature for a video the store does not
-// contain is corruption, not data.
-func decodeV3Body(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{Version: Version3}
+// decodeSnapshotBody reads everything after a v2 or v3 magic and
+// version, verifying every section checksum and the sealed footer. Both
+// the meta and the summaries section are required.
+func decodeSnapshotBody(r io.Reader, magic string, version uint32) (*Snapshot, error) {
+	snap := &Snapshot{Version: version}
 	var sawMeta, sawSummaries bool
-	err := decodeSectioned(r, MagicV3, Version3, func(id uint32, sec io.Reader) error {
+	err := decodeSectioned(r, magic, version, func(id uint32, sec io.Reader) error {
 		switch id {
 		case sectionMeta:
 			if err := decodeMetaSection(sec, snap); err != nil {
@@ -128,12 +62,6 @@ func decodeV3Body(r io.Reader) (*Snapshot, error) {
 			}
 			snap.Summaries = sums
 			sawSummaries = true
-		case sectionSignatures:
-			sigs, err := decodeSignaturesSection(sec)
-			if err != nil {
-				return fmt.Errorf("signatures section: %w", err)
-			}
-			snap.Signatures = sigs
 		}
 		return nil
 	})
@@ -141,18 +69,23 @@ func decodeV3Body(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	if !sawMeta || !sawSummaries {
-		return nil, fmt.Errorf("v3 store missing required sections (meta %v, summaries %v)", sawMeta, sawSummaries)
-	}
-	if snap.Signatures != nil {
-		have := make(map[int32]bool, len(snap.Summaries))
-		for i := range snap.Summaries {
-			have[int32(snap.Summaries[i].VideoID)] = true
-		}
-		for vid := range snap.Signatures {
-			if !have[vid] {
-				return nil, fmt.Errorf("signature for video %d which the store does not contain", vid)
-			}
-		}
+		return nil, fmt.Errorf("v%d store missing required sections (meta %v, summaries %v)", version, sawMeta, sawSummaries)
 	}
 	return snap, nil
+}
+
+// decodeMetaSection parses the meta payload into snap.
+func decodeMetaSection(r io.Reader, snap *Snapshot) error {
+	var epsBits uint64
+	if err := binRead(r, &epsBits); err != nil {
+		return fmt.Errorf("meta section: %w", err)
+	}
+	if err := binRead(r, &snap.LastSeq); err != nil {
+		return fmt.Errorf("meta section: %w", err)
+	}
+	snap.Epsilon = math.Float64frombits(epsBits)
+	if !validEpsilon(snap.Epsilon) {
+		return fmt.Errorf("invalid stored epsilon %v", snap.Epsilon)
+	}
+	return nil
 }

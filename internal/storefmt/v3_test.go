@@ -6,16 +6,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"vitri/internal/sig"
 )
 
-func testSnapshotV3() *Snapshot {
-	return &Snapshot{Version: Version3, Epsilon: 0.3, LastSeq: 42, Summaries: testSummaries()}
-}
-
 func TestRoundTripV3(t *testing.T) {
-	want := testSnapshotV3()
+	want := testSnapshot()
 	var buf bytes.Buffer
 	if err := EncodeV3(&buf, want); err != nil {
 		t.Fatalf("EncodeV3: %v", err)
@@ -31,23 +25,6 @@ func TestRoundTripV3(t *testing.T) {
 	if !reflect.DeepEqual(snap.Summaries, want.Summaries) {
 		t.Fatal("summaries did not round-trip")
 	}
-	// The decoded signatures must be exactly what the summaries derive:
-	// one per non-empty video, identical to a fresh FromSummary.
-	w := sig.CellWidth(want.Epsilon)
-	for i := range want.Summaries {
-		s := &want.Summaries[i]
-		got, ok := snap.Signatures[int32(s.VideoID)]
-		if !ok {
-			t.Fatalf("video %d has no decoded signature", s.VideoID)
-		}
-		fresh := sig.FromSummary(s, len(s.Triplets[0].Position), w)
-		if !sig.Equal(got, fresh) {
-			t.Fatalf("video %d: decoded signature differs from recomputation", s.VideoID)
-		}
-	}
-	if len(snap.Signatures) != len(want.Summaries) {
-		t.Fatalf("decoded %d signatures, want %d", len(snap.Signatures), len(want.Summaries))
-	}
 	var buf2 bytes.Buffer
 	if err := EncodeV3(&buf2, want); err != nil {
 		t.Fatalf("EncodeV3 again: %v", err)
@@ -57,132 +34,98 @@ func TestRoundTripV3(t *testing.T) {
 	}
 }
 
-// TestV3DetectsCorruption and truncation: the sealed sectioned layout
-// gives v3 the same either-valid-or-rejected property as v2.
+// TestV3DetectsCorruption: the sealed sectioned layout gives v3 the same
+// either-valid-or-rejected property as v2, with and without the legacy
+// signatures section.
 func TestV3DetectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeV3(&buf, testSnapshotV3()); err != nil {
-		t.Fatalf("EncodeV3: %v", err)
-	}
-	valid := buf.Bytes()
-	for i := range valid {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0xff
-		if _, err := Decode(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("flipping byte %d of %d went undetected", i, len(valid))
-		}
-	}
-	for n := 0; n < len(valid); n++ {
-		if _, err := Decode(bytes.NewReader(valid[:n])); err == nil {
-			t.Fatalf("prefix of %d/%d bytes went undetected", n, len(valid))
-		}
+	for _, file := range []string{currentGolden, "store-v3-sigsection.golden"} {
+		valid := golden(t, file)
+		requireFlipsDetected(t, valid)
+		requirePrefixesRejected(t, valid)
 	}
 }
 
-// TestV3SignatureSectionOptional: a v3 file without the signatures
-// section still loads — the tier is derived data, never required.
-func TestV3SignatureSectionOptional(t *testing.T) {
-	snap := testSnapshotV3()
-	meta, err := encodeMetaSection(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body bytes.Buffer
-	if err := encodeSummaries(&body, snap.Summaries); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err = encodeSectioned(&buf, MagicV3, Version3, []storeSection{
-		{sectionMeta, meta},
-		{sectionSummaries, body.Bytes()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Decode without signatures section: %v", err)
-	}
-	if got.Signatures != nil {
-		t.Fatal("Signatures should be nil when the section is absent")
-	}
-	if !reflect.DeepEqual(got.Summaries, snap.Summaries) {
-		t.Fatal("summaries did not survive")
-	}
-}
-
-// encodeV3WithSigs builds a v3 file whose signatures section is supplied
-// by the test rather than derived — the hostile shapes EncodeV3 can
-// never produce.
-func encodeV3WithSigs(t *testing.T, snap *Snapshot, sigs []byte) []byte {
+// encodeV3WithSection builds a checksum-intact v3 file holding the meta
+// and summaries sections of snap, plus, when extra is non-nil, a section
+// under id 3 — where v3 files written by earlier releases kept the
+// pre-filter signatures — with the given payload.
+func encodeV3WithSection(t *testing.T, snap *Snapshot, extra []byte) []byte {
 	t.Helper()
-	meta, err := encodeMetaSection(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta := binary.LittleEndian.AppendUint64(nil, math.Float64bits(snap.Epsilon))
+	meta = binary.LittleEndian.AppendUint64(meta, snap.LastSeq)
 	var body bytes.Buffer
 	if err := encodeSummaries(&body, snap.Summaries); err != nil {
 		t.Fatal(err)
 	}
+	secs := []storeSection{{sectionMeta, meta}, {sectionSummaries, body.Bytes()}}
+	if extra != nil {
+		secs = append(secs, storeSection{3, extra})
+	}
 	var buf bytes.Buffer
-	err = encodeSectioned(&buf, MagicV3, Version3, []storeSection{
-		{sectionMeta, meta},
-		{sectionSummaries, body.Bytes()},
-		{sectionSignatures, sigs},
-	})
-	if err != nil {
+	if err := encodeSectioned(&buf, MagicV3, Version3, secs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func encodeSigEntry(t *testing.T, vid uint32, s *sig.Signature) []byte {
+// requireSameStore fails unless got decodes to exactly snap.
+func requireSameStore(t *testing.T, what string, got, snap *Snapshot) {
 	t.Helper()
-	out := make([]byte, 4+sig.EncodedSize(s.Words()))
-	binary.LittleEndian.PutUint32(out, vid)
-	if err := s.Encode(out[4:]); err != nil {
-		t.Fatal(err)
+	if got.Version != Version3 || got.Epsilon != snap.Epsilon || got.LastSeq != snap.LastSeq ||
+		!reflect.DeepEqual(got.Summaries, snap.Summaries) {
+		t.Fatalf("%s: decoded store differs from the one encoded", what)
 	}
-	return out
 }
 
-// TestV3RejectsHostileSignatures exercises checksum-intact files whose
-// signatures section is semantically wrong: ids the store doesn't
-// contain, duplicate ids, implausible counts, bad radii.
-func TestV3RejectsHostileSignatures(t *testing.T) {
-	snap := testSnapshotV3()
-	w := sig.CellWidth(snap.Epsilon)
-	good := sig.FromSummary(&snap.Summaries[0], 3, w)
-
-	le32b := func(v uint32) []byte {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return b[:]
+// TestV3SignatureSectionOptional: a v3 file without the signatures
+// section loads — the signatures are derived data that the index
+// rebuilds on load, never required.
+func TestV3SignatureSectionOptional(t *testing.T) {
+	snap := testSnapshot()
+	got, err := Decode(bytes.NewReader(encodeV3WithSection(t, snap, nil)))
+	if err != nil {
+		t.Fatalf("Decode without signatures section: %v", err)
 	}
-	badRadius := sig.FromTriplet([]float64{0.1, 0.2, 0.3}, 0.25, w)
-	badRadius.MaxRadius = math.NaN()
+	requireSameStore(t, "no signatures section", got, snap)
+}
+
+// TestV3RejectsHostileSignatures: section id 3 is no longer parsed, so
+// a checksum-intact file carrying semantically wrong signatures there —
+// ids the store doesn't contain, duplicate ids, implausible counts, bad
+// radii, bytes no signature codec would ever have accepted — loads none
+// of them: it decodes to the same store as a file without the section.
+// The section's checksum is still verified, so the same bytes altered
+// after sealing reject the whole file.
+func TestV3RejectsHostileSignatures(t *testing.T) {
+	snap := testSnapshot()
+	le32b := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	garbage := bytes.Repeat([]byte{0xff}, 37)
+	nanRadius := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
 
 	cases := map[string][]byte{
-		"unknown video": bytes.Join([][]byte{le32b(1), encodeSigEntry(t, 999, good)}, nil),
+		"unknown video": bytes.Join([][]byte{le32b(1), le32b(999), garbage}, nil),
 		"duplicate video": bytes.Join([][]byte{le32b(2),
-			encodeSigEntry(t, 0, good), encodeSigEntry(t, 0, good)}, nil),
-		"implausible count": le32b(200_000_000),
+			le32b(0), garbage, le32b(0), garbage}, nil),
+		"implausible count": bytes.Join([][]byte{le32b(200_000_000), garbage}, nil),
 		"truncated entry":   bytes.Join([][]byte{le32b(1), le32b(0), le32b(7)}, nil),
-		"nan radius":        bytes.Join([][]byte{le32b(1), encodeSigEntry(t, 0, badRadius)}, nil),
+		"nan radius":        bytes.Join([][]byte{le32b(1), le32b(0), le32b(1), nanRadius}, nil),
 	}
 	for name, sec := range cases {
-		if _, err := Decode(bytes.NewReader(encodeV3WithSigs(t, snap, sec))); err == nil {
-			t.Errorf("%s: hostile signatures section decoded without error", name)
+		file := encodeV3WithSection(t, snap, sec)
+		got, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: Decode with a hostile signatures section: %v", name, err)
 		}
-	}
+		requireSameStore(t, name, got, snap)
 
-	// Sanity: the same harness with a well-formed section decodes.
-	ok := bytes.Join([][]byte{le32b(1), encodeSigEntry(t, 0, good)}, nil)
-	got, err := Decode(bytes.NewReader(encodeV3WithSigs(t, snap, ok)))
-	if err != nil {
-		t.Fatalf("well-formed hand-built section rejected: %v", err)
-	}
-	if len(got.Signatures) != 1 || got.Signatures[0] == nil {
-		t.Fatalf("got signatures %v", got.Signatures)
+		at := bytes.Index(file, sec)
+		if at < 0 {
+			t.Fatalf("%s: section payload not found in the encoded file", name)
+		}
+		tampered := bytes.Clone(file)
+		tampered[at] ^= 0x01
+		if _, err := Decode(bytes.NewReader(tampered)); err == nil {
+			t.Errorf("%s: signatures section altered after sealing decoded without error", name)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"vitri/internal/core"
 	"vitri/internal/storefmt"
+	"vitri/internal/temporal"
 	"vitri/internal/vfs"
 )
 
@@ -65,7 +66,7 @@ func (r *refDB) Add(videoID int, frames []Vector) error {
 	if err != nil {
 		return err
 	}
-	dur, seq, err := r.e.addSummaryApply(s)
+	dur, seq, err := r.e.addSummaryApply(s, nil)
 	if err != nil {
 		return err
 	}
@@ -80,7 +81,7 @@ func (r *refDB) AddBatch(videos []Video) ([]error, error) {
 		all[i] = i
 		summaries[i], itemErrs[i] = r.summarize(v.ID, v.Frames)
 	}
-	dur, maxSeq, batchErr := r.e.applyBatch(summaries, all, itemErrs)
+	dur, maxSeq, batchErr := r.e.applyBatch(summaries, make([]*temporal.Signature, len(videos)), all, itemErrs)
 	if cerr := dur.commitSeq(maxSeq); cerr != nil && batchErr == nil {
 		batchErr = cerr
 	}

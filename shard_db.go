@@ -7,6 +7,7 @@ import (
 
 	"vitri/internal/core"
 	"vitri/internal/shard"
+	"vitri/internal/temporal"
 )
 
 // Shard routing: DB.shards holds one or more independent engines and the
@@ -96,14 +97,14 @@ type commitTicket struct {
 	err    error
 }
 
-// addBatch applies a summarized batch across shards. Items partition by
-// home shard in input order (so first-wins duplicate semantics inside a
-// shard match a sequential Add loop; cross-shard duplicates cannot exist
-// — equal ids share a home). The per-shard applies run concurrently
+// addBatch applies a summarized batch, with its temporal signatures,
+// across shards. Items partition by home shard in input order (so
+// first-wins duplicate semantics inside a shard match a sequential Add
+// loop; cross-shard duplicates cannot exist — equal ids share a home). The per-shard applies run concurrently
 // under one shared view-lock hold, then each shard group-commits its own
 // journal concurrently — independent fsync streams are exactly where
 // sharding multiplies ingest bandwidth.
-func (db *DB) addBatch(summaries []core.Summary, itemErrs []error) ([]error, error) {
+func (db *DB) addBatch(summaries []core.Summary, tsigs []*temporal.Signature, itemErrs []error) ([]error, error) {
 	n := len(db.shards)
 	byShard := make([][]int, n)
 	for i := range summaries {
@@ -121,7 +122,7 @@ func (db *DB) addBatch(summaries []core.Summary, itemErrs []error) ([]error, err
 	db.viewMu.RLock()
 	db.fanOut(hook == nil, func(si int) {
 		if len(byShard[si]) > 0 {
-			d, mx, e := db.shards[si].applyBatch(summaries, byShard[si], itemErrs)
+			d, mx, e := db.shards[si].applyBatch(summaries, tsigs, byShard[si], itemErrs)
 			tickets[si] = commitTicket{dur: d, maxSeq: mx, err: e}
 		}
 		if hook != nil {

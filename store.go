@@ -2,7 +2,6 @@ package vitri
 
 import (
 	"fmt"
-	"io"
 
 	"vitri/internal/core"
 	"vitri/internal/storefmt"
@@ -13,11 +12,9 @@ import (
 // video's triplets (see internal/storefmt for the wire layouts). A
 // database can be saved after ingest and reloaded — the index is rebuilt
 // on load (bulk construction from summaries is fast and re-derives the
-// optimal reference point for the stored data). Save writes the legacy
-// v1 layout for compatibility; Load reads v1 and the checksummed v2
-// layout the durable store produces.
-
-const storeMagic = storefmt.MagicV1
+// optimal reference point and the signatures for the stored data). Save
+// writes the same checksummed v3 snapshot a durable checkpoint does;
+// Load reads it and the legacy v1 and v2 layouts.
 
 // Save writes the database's summaries to path. The database may be
 // saved before or after its index has been built. The file is written to
@@ -34,10 +31,8 @@ func (db *DB) saveFS(fsys vfs.FS, path string) error {
 	if err != nil {
 		return err
 	}
-	err = storefmt.WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		return storefmt.EncodeV1(w, db.opts.Epsilon, sums)
-	})
-	if err != nil {
+	snap := &storefmt.Snapshot{Epsilon: db.opts.Epsilon, Summaries: sums}
+	if err := storefmt.WriteSnapshotFile(fsys, path, snap); err != nil {
 		return fmt.Errorf("vitri: save: %w", err)
 	}
 	return nil
@@ -62,11 +57,12 @@ func (db *DB) summaries() ([]core.Summary, error) {
 	return out, nil
 }
 
-// Load reads a database saved with Save (v1) or checkpointed by a
-// durable database (v2; checksums are verified). opts fields other than
-// Epsilon are applied as given; Epsilon is taken from the file (a
-// database's summaries are only meaningful at the ε they were built
-// with) and must either match opts.Epsilon or opts.Epsilon must be zero.
+// Load reads a database saved with Save or checkpointed by a durable
+// database (checksums are verified), or a legacy v1/v2 store. opts
+// fields other than Epsilon are applied as given; Epsilon is taken from
+// the file (a database's summaries are only meaningful at the ε they
+// were built with) and must either match opts.Epsilon or opts.Epsilon
+// must be zero.
 func Load(path string, opts Options) (*DB, error) {
 	snap, err := storefmt.ReadSnapshotFile(vfs.OS{}, path)
 	if err != nil {
@@ -85,21 +81,6 @@ func Load(path string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// writeSummaries streams the legacy v1 store format (kept as the
-// package-internal codec entry point; the formats live in storefmt).
-func writeSummaries(w io.Writer, epsilon float64, sums []core.Summary) error {
-	return storefmt.EncodeV1(w, epsilon, sums)
-}
-
-// readSummaries parses either store format.
-func readSummaries(r io.Reader) (float64, []core.Summary, error) {
-	snap, err := storefmt.Decode(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	return snap.Epsilon, snap.Summaries, nil
-}
-
 // Remove deletes a video from the database. On a durable database the
 // removal is journaled and Remove returns only once the record is
 // fsynced to disk.
@@ -110,9 +91,5 @@ func (db *DB) Remove(videoID int) error {
 	if err != nil {
 		return err
 	}
-	if err := dur.commitSeq(seq); err != nil {
-		return err
-	}
-	db.dropTemporal(videoID)
-	return nil
+	return dur.commitSeq(seq)
 }

@@ -96,12 +96,14 @@ func (db *DB) SearchTemporal(frames []Vector, k int, weight float64, mode QueryM
 		return nil, stats, err
 	}
 	bag := make(map[int]float64, len(matches))
+	sigs := make(map[int]*temporal.Signature, len(matches))
 	cands := make([]temporal.Scored, len(matches))
 	for i, m := range matches {
 		bag[m.VideoID] = m.Similarity
+		sigs[m.VideoID] = db.home(m.VideoID).temporalSig(m.VideoID)
 		cands[i] = temporal.Scored{VideoID: m.VideoID, Score: m.Similarity}
 	}
-	ranked := temporal.Rerank(qsig, cands, db.temporalSnapshot(), weight)
+	ranked := temporal.Rerank(qsig, cands, sigs, weight)
 	out := make([]TemporalMatch, len(ranked))
 	for i, r := range ranked {
 		out[i] = TemporalMatch{
@@ -120,42 +122,15 @@ func toVec(frames []Vector) []vec.Vector {
 	return frames
 }
 
-// registerTemporal derives and records a video's temporal signature so
-// SearchTemporal can re-rank it by shot order. Called after a successful
-// frame-bearing ingest (Add, AddBatch), with no other database lock
-// held. Summaries of non-empty videos always carry at least one triplet,
-// so signature derivation cannot fail here; the guard only protects the
-// registry's invariant (registered ⇒ usable signature).
-func (db *DB) registerTemporal(frames []Vector, s *Summary) {
+// temporalSig derives a video's temporal signature so SearchTemporal can
+// re-rank it by shot order. Summaries of non-empty videos always carry at
+// least one triplet, so derivation cannot fail for a frame-bearing
+// ingest; the nil return only protects the registry's invariant
+// (registered ⇒ usable signature).
+func temporalSig(frames []Vector, s *Summary) *temporal.Signature {
 	sig, err := temporal.NewSignature(toVec(frames), s)
 	if err != nil {
-		return
+		return nil
 	}
-	db.tempoMu.Lock()
-	if db.tsigs == nil {
-		db.tsigs = make(map[int]*temporal.Signature)
-	}
-	db.tsigs[s.VideoID] = sig
-	db.tempoMu.Unlock()
-}
-
-// dropTemporal forgets a removed video's temporal signature. A no-op for
-// videos that never had one.
-func (db *DB) dropTemporal(videoID int) {
-	db.tempoMu.Lock()
-	delete(db.tsigs, videoID)
-	db.tempoMu.Unlock()
-}
-
-// temporalSnapshot returns the registry as a map usable without the
-// lock. Signatures are immutable once registered, so sharing the
-// pointers is safe; only the map itself is copied.
-func (db *DB) temporalSnapshot() map[int]*temporal.Signature {
-	db.tempoMu.Lock()
-	defer db.tempoMu.Unlock()
-	snap := make(map[int]*temporal.Signature, len(db.tsigs))
-	for id, sig := range db.tsigs {
-		snap[id] = sig
-	}
-	return snap
+	return sig
 }

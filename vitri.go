@@ -171,20 +171,6 @@ type DB struct {
 	// OpenDurable. immutable after OpenDurable
 	store *storeState
 
-	// tempoMu guards tsigs, the temporal-signature registry SearchTemporal
-	// reranks with. It is a leaf lock outside the engine hierarchy: it is
-	// only ever taken with no other vitri lock held (registration happens
-	// after a mutation's locks are released, the search snapshot after
-	// SearchSummary returns) and nothing is called while holding it.
-	tempoMu sync.Mutex
-	// tsigs maps video id -> temporal signature for videos ingested with
-	// frames (Add/AddBatch) on this handle. Videos loaded as bare
-	// summaries or recovered from a durable store have no frames to
-	// derive order from; they simply keep their order-blind score when
-	// reranked (see SearchTemporal). One registry serves every shard,
-	// since frames are only seen before routing. guarded by tempoMu
-	tsigs map[int]*temporal.Signature
-
 	// Test hooks, unset outside tests and set before any checkpoint or
 	// batch runs (read without synchronization); the per-shard checkpoint
 	// window hooks live on engine.
@@ -246,25 +232,28 @@ func (db *DB) Add(videoID int, frames []Vector) error {
 		Epsilon: db.opts.Epsilon,
 		Seed:    db.opts.Seed + int64(videoID),
 	})
-	if err := db.AddSummary(s); err != nil {
-		return err
-	}
 	// Only frame-bearing ingest paths can record shot order; bare
 	// summaries (AddSummary, recovery) cannot, and SearchTemporal keeps
-	// their order-blind score.
-	db.registerTemporal(frames, &s)
-	return nil
+	// their order-blind score. The signature is derived before the apply
+	// so it is registered in the same critical section as the summary.
+	return db.addSummary(s, temporalSig(frames, &s))
 }
 
 // AddSummary adds a pre-computed summary (e.g. produced offline or loaded
 // from storage). On a durable database the summary is journaled and
 // AddSummary returns only once the record is fsynced to disk.
 func (db *DB) AddSummary(s Summary) error {
+	return db.addSummary(s, nil)
+}
+
+// addSummary applies s, with its temporal signature ts when non-nil, on
+// its home shard and group-commits it.
+func (db *DB) addSummary(s Summary, ts *temporal.Signature) error {
 	// The apply runs under a shared view-lock hold (consistent with batch
 	// applies; see DB.viewMu), the group commit after every lock is
 	// released.
 	db.viewMu.RLock()
-	dur, seq, err := db.home(s.VideoID).addSummaryApply(s)
+	dur, seq, err := db.home(s.VideoID).addSummaryApply(s, ts)
 	db.viewMu.RUnlock()
 	if err != nil {
 		return err
