@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"vitri/internal/baseline"
 	"vitri/internal/btree"
 	"vitri/internal/core"
 	"vitri/internal/dataset"
@@ -339,41 +338,6 @@ func BenchmarkBTreeRangeScan(b *testing.B) {
 		if err := tr.RangeScan(0.4, 0.41, func(float64, []byte) bool { n++; return true }); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// exactSimVideos builds the frame pair shared by the exact-similarity
-// benchmarks: long enough that Y no longer fits in L1 when streamed per
-// frame of X, which is the access pattern the blocked kernel fixes.
-func exactSimVideos() (x, y []Vector) {
-	rng := rand.New(rand.NewSource(9))
-	mkVideo := func() []Vector {
-		out := make([]Vector, 250)
-		for i := range out {
-			f := make(Vector, 64)
-			for j := 0; j < 8; j++ {
-				f[rng.Intn(64)] += rng.Float64()
-			}
-			out[i] = f
-		}
-		return out
-	}
-	return mkVideo(), mkVideo()
-}
-
-func BenchmarkExactSimilarityNaive(b *testing.B) {
-	x, y := exactSimVideos()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		baseline.ExactSimilarityNaive(x, y, 0.3)
-	}
-}
-
-func BenchmarkExactSimilarityBlocked(b *testing.B) {
-	x, y := exactSimVideos()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		baseline.ExactSimilarity(x, y, 0.3)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"vitri/internal/core"
 	"vitri/internal/index"
 	"vitri/internal/pager"
+	"vitri/internal/refpoint"
 	"vitri/internal/shard"
 	"vitri/internal/storefmt"
 	"vitri/internal/temporal"
@@ -58,6 +59,14 @@ type engine struct {
 	// result (see prefilter_equiv_test.go).
 	testNoSignatures  bool // immutable once serving
 	testFloat64Leaves bool // immutable once serving
+	// testSpaceCenter keys the index by the data-independent space-center
+	// reference point instead of the default fitted O′. Each shard fits
+	// its own O′, so which records a query's key ranges cover — and with
+	// it Candidates — depends on the shard layout; under the fixed space
+	// center every record is scanned against the same ranges in whichever
+	// shard holds it, and the equivalence suites use this to assert that
+	// the work counters sum across shards.
+	testSpaceCenter bool // immutable once serving
 }
 
 func newEngine(opts Options) *engine {
@@ -248,14 +257,16 @@ func (e *engine) ensureIndexLocked() error {
 	// ingest orders — and shard routing, which permutes per-shard ingest
 	// order — produce byte-identical indexes and PageReads.
 	storefmt.SortSummaries(e.pending)
-	ix, err := index.Build(e.pending, index.Options{
+	iopts := index.Options{
 		Epsilon:           e.opts.Epsilon,
-		RefKind:           e.opts.RefKind,
-		Partitions:        e.opts.Partitions,
 		NewPager:          e.opts.NewPager,
 		DisableSignatures: e.testNoSignatures,
 		UnquantizedLeaves: e.testFloat64Leaves,
-	})
+	}
+	if e.testSpaceCenter {
+		iopts.RefKind = refpoint.SpaceCenter
+	}
+	ix, err := index.Build(e.pending, iopts)
 	if err != nil {
 		return err
 	}

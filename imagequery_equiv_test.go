@@ -1,6 +1,7 @@
 package vitri
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -125,9 +126,13 @@ func imageProbes(videos []Video, n int) []Vector {
 // TestSearchImageEquivalence proves the image workload against the
 // brute-force oracle across the full configuration matrix: shard counts
 // {1, 2, 3, 8} × signature tier on/off × quantized leaves on/off, both
-// query modes. Rankings compare by Float64bits; stats must satisfy
-// SimilarityOps + SignatureSkips == the tier-off SimilarityOps at every
-// shard count, and the tier must demonstrably fire over the probe set.
+// query modes, and the tier must demonstrably fire over the probe set.
+// Rankings compare by Float64bits. The work counters are checked per row
+// against a both-off baseline (see checkEquiv in shard_equiv_test.go for
+// why the rows differ): the default rows (fitted O′) against the both-off
+// build at the same shard count, the space-center rows against the
+// single-shard both-off build — equal Candidates, and SimilarityOps +
+// SignatureSkips equal to the baseline's op count.
 func TestSearchImageEquivalence(t *testing.T) {
 	videos := ingestCorpus(91, 48)
 	videos = append(videos, overlapClusterVideo(len(videos), 8))
@@ -139,52 +144,68 @@ func TestSearchImageEquivalence(t *testing.T) {
 		noSig bool
 		unq   bool
 	}
+	// both-off runs first: it is the baseline the others compare with.
 	configs := []config{
+		{"both-off", true, true},
 		{"default", false, false},
 		{"prefilter-off", true, false},
 		{"unquantized", false, true},
-		{"both-off", true, true},
 	}
 
-	// Baseline ops per (probe, mode) from the single-shard tier-off
-	// engine, for the cross-configuration accounting invariant.
-	baseOps := make(map[int]map[QueryMode]int)
 	totalSkips := 0
-	for _, shards := range equivShardCounts {
-		for _, cfg := range configs {
-			db := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: shards}, cfg.noSig, cfg.unq)
-			if _, err := db.AddBatch(videos); err != nil {
-				t.Fatalf("shards=%d %s: AddBatch: %v", shards, cfg.name, err)
+	for _, spaceCenter := range []bool{false, true} {
+		// Baseline stats per (probe, mode).
+		var base map[int]map[QueryMode]SearchStats
+		for _, shards := range equivShardCounts {
+			if !spaceCenter || shards == 1 {
+				base = make(map[int]map[QueryMode]SearchStats)
 			}
-			if err := db.forceBuild(); err != nil {
-				t.Fatalf("shards=%d %s: forceBuild: %v", shards, cfg.name, err)
-			}
-			for pi, frame := range probes {
-				want := imageOracle(t, db, videos, frame, k)
-				for _, mode := range []QueryMode{Naive, Composed} {
-					got, stats, err := db.SearchImage(frame, k, mode)
-					if err != nil {
-						t.Fatalf("shards=%d %s probe %d: SearchImage: %v", shards, cfg.name, pi, err)
-					}
-					if !matchesIdentical(got, want) {
-						t.Fatalf("shards=%d %s probe %d mode %v: ranking diverges from oracle\n got: %+v\nwant: %+v",
-							shards, cfg.name, pi, mode, got, want)
-					}
-					if cfg.noSig && stats.SignatureSkips != 0 {
-						t.Fatalf("shards=%d %s probe %d: %d skips with the tier disabled", shards, cfg.name, pi, stats.SignatureSkips)
-					}
-					ops := stats.SimilarityOps + stats.SignatureSkips
-					if shards == 1 && cfg.noSig && cfg.unq {
-						if baseOps[pi] == nil {
-							baseOps[pi] = make(map[QueryMode]int)
+			for _, cfg := range configs {
+				row := fmt.Sprintf("shards=%d %s", shards, cfg.name)
+				if spaceCenter {
+					row = "space-center " + row
+				}
+				db := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: shards},
+					tierHooks{noSig: cfg.noSig, unquantized: cfg.unq, spaceCenter: spaceCenter})
+				if _, err := db.AddBatch(videos); err != nil {
+					t.Fatalf("%s: AddBatch: %v", row, err)
+				}
+				if err := db.forceBuild(); err != nil {
+					t.Fatalf("%s: forceBuild: %v", row, err)
+				}
+				for pi, frame := range probes {
+					want := imageOracle(t, db, videos, frame, k)
+					for _, mode := range []QueryMode{Naive, Composed} {
+						got, stats, err := db.SearchImage(frame, k, mode)
+						if err != nil {
+							t.Fatalf("%s probe %d: SearchImage: %v", row, pi, err)
 						}
-						baseOps[pi][mode] = ops
-					} else if want, ok := baseOps[pi][mode]; ok && ops != want {
-						t.Fatalf("shards=%d %s probe %d mode %v: ops(%d)+skips(%d) = %d, want baseline %d",
-							shards, cfg.name, pi, mode, stats.SimilarityOps, stats.SignatureSkips, ops, want)
-					}
-					if cfg.name == "default" {
-						totalSkips += stats.SignatureSkips
+						if !matchesIdentical(got, want) {
+							t.Fatalf("%s probe %d mode %v: ranking diverges from oracle\n got: %+v\nwant: %+v",
+								row, pi, mode, got, want)
+						}
+						if cfg.noSig && stats.SignatureSkips != 0 {
+							t.Fatalf("%s probe %d: %d skips with the tier disabled", row, pi, stats.SignatureSkips)
+						}
+						if stats.Candidates > db.Triplets() {
+							t.Fatalf("%s probe %d: %d candidates among %d triplets", row, pi, stats.Candidates, db.Triplets())
+						}
+						if base[pi] == nil {
+							base[pi] = make(map[QueryMode]SearchStats)
+						}
+						b, ok := base[pi][mode]
+						if !ok {
+							base[pi][mode] = stats
+							continue
+						}
+						ops := stats.SimilarityOps + stats.SignatureSkips
+						if stats.Candidates != b.Candidates || ops != b.SimilarityOps {
+							t.Fatalf("%s probe %d mode %v: candidates %d, ops(%d)+skips(%d) = %d; want baseline %d candidates, %d ops",
+								row, pi, mode, stats.Candidates, stats.SimilarityOps, stats.SignatureSkips, ops, b.Candidates, b.SimilarityOps)
+						}
+						if cfg.name == "default" {
+							totalSkips += stats.SignatureSkips
+						}
 					}
 				}
 			}

@@ -31,7 +31,7 @@ const simBlock = 64
 // cache-blocked so long videos do not stream Y through cache once per
 // frame of X. Pairs whose endpoints are both already marked similar are
 // skipped — marks only ever turn on, so skipping cannot change the final
-// counts, and ExactSimilarityNaive exists as the unblocked reference.
+// counts; the tests hold an unblocked reference to compare against.
 func ExactSimilarity(x, y []vec.Vector, epsilon float64) float64 {
 	if len(x) == 0 || len(y) == 0 {
 		return 0
@@ -68,40 +68,6 @@ func ExactSimilarity(x, y []vec.Vector, epsilon float64) float64 {
 	matched := 0
 	for _, h := range xHit {
 		if h {
-			matched++
-		}
-	}
-	for _, h := range yHit {
-		if h {
-			matched++
-		}
-	}
-	return float64(matched) / float64(len(x)+len(y))
-}
-
-// ExactSimilarityNaive is the direct row-by-row evaluation of the §3.1
-// measure, the reference the blocked kernel is tested (and benchmarked)
-// against.
-func ExactSimilarityNaive(x, y []vec.Vector, epsilon float64) float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return 0
-	}
-	eps2 := epsilon * epsilon
-	matched := 0
-	yHit := make([]bool, len(y))
-	for _, fx := range x {
-		found := false
-		for yi, fy := range y {
-			if vec.Dist2(fx, fy) <= eps2 {
-				yHit[yi] = true
-				if !found {
-					found = true
-					// Keep scanning: yHit marks must be complete for the
-					// reverse direction.
-				}
-			}
-		}
-		if found {
 			matched++
 		}
 	}

@@ -20,7 +20,9 @@ type Options struct {
 	// Epsilon is the frame similarity threshold ε used when the indexed
 	// summaries were built; it determines the search radius γ = R^Q + ε/2.
 	Epsilon float64
-	// RefKind selects the reference point strategy (default Optimal).
+	// RefKind selects the reference point strategy. The zero value is
+	// refpoint.Optimal, the paper's Theorem 1 placement; the other kinds
+	// exist for the paper's comparisons (internal/experiments, tests).
 	RefKind refpoint.Kind
 	// SpaceLo/SpaceHi bound the data space for the SpaceCenter strategy.
 	// Both zero selects [0, 1].
@@ -92,11 +94,10 @@ type Index struct {
 
 	catalog map[int32]*videoInfo
 
-	// Running covariance accumulators over every indexed position, used
-	// for principal-direction drift detection (§6.3.3).
-	posCount int
-	posSum   vec.Vector
-	posOuter []float64 // dim×dim row-major Σ x·xᵀ
+	// mom holds the running moments of every indexed position. Build and
+	// Rebuild fit the Optimal reference point from them; Insert and Remove
+	// keep them current for principal-direction drift detection (§6.3.3).
+	mom *linalg.Moments
 }
 
 // Build constructs an index over the given summaries with one-off (bulk)
@@ -112,17 +113,22 @@ func Build(summaries []core.Summary, opts Options) (*Index, error) {
 		return nil, err
 	}
 	dim := len(positions[0])
-	tr, err := newMapper(&o, positions)
+	// One moment pass serves both the reference-point fit and the drift
+	// baseline, so DriftAngle reads exactly 0 right after a build.
+	mom := linalg.NewMoments(dim)
+	for _, p := range positions {
+		mom.Add(p)
+	}
+	tr, err := newMapper(&o, mom, positions)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{
-		opts:     o,
-		dim:      dim,
-		tr:       tr,
-		catalog:  make(map[int32]*videoInfo),
-		posSum:   make(vec.Vector, dim),
-		posOuter: make([]float64, dim*dim),
+		opts:    o,
+		dim:     dim,
+		tr:      tr,
+		catalog: make(map[int32]*videoInfo),
+		mom:     mom,
 	}
 	entries := make([]btree.Entry, 0, len(positions))
 	for si := range summaries {
@@ -147,7 +153,6 @@ func Build(summaries []core.Summary, opts Options) (*Index, error) {
 			key := tr.Key(tpl.Position)
 			entries = append(entries, btree.Entry{Key: key, Val: buf})
 			info.keys = append(info.keys, key)
-			ix.accumulate(tpl.Position)
 		}
 		ix.catalog[int32(s.VideoID)] = info
 	}
@@ -215,17 +220,18 @@ func (ix *Index) newVideoInfo(s *core.Summary) *videoInfo {
 	return info
 }
 
-// newMapper constructs the configured key mapping over the build points.
-func newMapper(o *Options, positions []vec.Vector) (refpoint.Mapper, error) {
+// newMapper constructs the configured key mapping over the build points,
+// whose moments mom already holds.
+func newMapper(o *Options, mom *linalg.Moments, positions []vec.Vector) (refpoint.Mapper, error) {
 	if o.RefKind == refpoint.MultiRef {
 		return refpoint.NewMulti(positions, o.Partitions, 1)
 	}
-	return refpoint.New(refpoint.Config{
+	return refpoint.Fit(refpoint.Config{
 		Kind:           o.RefKind,
 		SpaceLo:        o.SpaceLo,
 		SpaceHi:        o.SpaceHi,
 		OffsetFraction: o.OffsetFraction,
-	}, positions)
+	}, mom, positions)
 }
 
 // collectPositions flattens and validates all triplet positions.
@@ -246,32 +252,6 @@ func collectPositions(summaries []core.Summary) ([]vec.Vector, error) {
 		}
 	}
 	return out, nil
-}
-
-// accumulate folds a position into the running covariance sums. The
-// inner loop is Build's hot spot (dim² updates per triplet) and is
-// unrolled four-wide: one element per iteration leaves it bound by loop
-// overhead, whose cost swings by a fifth with where the linker happens
-// to place the loop. Every element still receives the same single
-// product in the same order, so the sums are bit-identical.
-func (ix *Index) accumulate(p vec.Vector) {
-	ix.posCount++
-	for i, v := range p {
-		ix.posSum[i] += v
-		row := ix.posOuter[i*ix.dim : (i+1)*ix.dim]
-		row = row[:len(p)]
-		j := 0
-		for ; j+4 <= len(p); j += 4 {
-			r, q := row[j:j+4:j+4], p[j:j+4:j+4]
-			r[0] += v * q[0]
-			r[1] += v * q[1]
-			r[2] += v * q[2]
-			r[3] += v * q[3]
-		}
-		for ; j < len(p); j++ {
-			row[j] += v * p[j]
-		}
-	}
 }
 
 // Dim returns the dimensionality of indexed positions.
@@ -379,7 +359,7 @@ func (ix *Index) Insert(s core.Summary) error {
 		}
 	}
 	for ti := range s.Triplets {
-		ix.accumulate(s.Triplets[ti].Position)
+		ix.mom.Add(s.Triplets[ti].Position)
 	}
 	ix.catalog[vid] = info
 	return nil
@@ -400,26 +380,6 @@ func (ix *Index) rollbackInsertLocked(vid int32, keys []float64) {
 	}
 }
 
-// currentFirstPC computes Φ1 of all indexed positions from the running
-// covariance accumulators. Caller holds at least a read lock.
-func (ix *Index) currentFirstPC() vec.Vector {
-	if ix.posCount < 2 {
-		return nil
-	}
-	n := float64(ix.posCount)
-	cov := linalg.NewSym(ix.dim)
-	for i := 0; i < ix.dim; i++ {
-		mi := ix.posSum[i] / n
-		for j := i; j < ix.dim; j++ {
-			mj := ix.posSum[j] / n
-			cov.Set(i, j, ix.posOuter[i*ix.dim+j]/n-mi*mj)
-		}
-	}
-	// Only the dominant direction is needed; power iteration is much
-	// cheaper than a full eigendecomposition at this call frequency.
-	return linalg.FirstEigenvector(cov, 0, 0)
-}
-
 // DriftAngle returns the angle in radians between the first principal
 // component captured when the reference point was derived and the current
 // Φ1 of all indexed positions. Zero for non-Optimal reference points.
@@ -435,7 +395,7 @@ func (ix *Index) driftAngleLocked() float64 {
 	if built == nil {
 		return 0
 	}
-	cur := ix.currentFirstPC()
+	cur := ix.mom.FirstPC()
 	if cur == nil {
 		return 0
 	}
@@ -453,10 +413,12 @@ func (ix *Index) Rebuild() error {
 
 // rebuildLocked is Rebuild under the write lock the caller already holds.
 //
-// The reference point is re-derived from the exact float64 positions in
-// the catalog, visited in tree order — the same order (and, with
-// unquantized leaves, the same bits) the seed engine fed its PCA, so
-// rebuilds stay deterministic and independent of the leaf encoding.
+// The moments are recomputed from scratch from the exact float64
+// positions in the catalog, visited in tree order, and the reference
+// point is fitted from them. Starting over sheds the rounding residue
+// that removals leave in the running sums, keeps O′ a function of the
+// indexed set (deterministic and independent of the leaf encoding), and
+// leaves DriftAngle at exactly 0.
 // Records whose catalog entry is gone (orphans left by a failed
 // best-effort insert rollback) are dropped here rather than re-encoded:
 // they can never score — scoring reads the catalog — so the rebuild is
@@ -467,10 +429,12 @@ func (ix *Index) rebuildLocked() error {
 		return err
 	}
 	positions := make([]vec.Vector, len(refs))
+	mom := linalg.NewMoments(ix.dim)
 	for i, ref := range refs {
 		positions[i] = ix.catalog[ref.vid].trips[ref.cn].Position
+		mom.Add(positions[i])
 	}
-	tr, err := newMapper(&ix.opts, positions)
+	tr, err := newMapper(&ix.opts, mom, positions)
 	if err != nil {
 		return err
 	}
@@ -505,7 +469,7 @@ func (ix *Index) rebuildLocked() error {
 		info.keys = newKeys[vid]
 	}
 	old := ix.pg
-	ix.tr, ix.tree, ix.pg = tr, tree, pg
+	ix.tr, ix.tree, ix.pg, ix.mom = tr, tree, pg, mom
 	//lint:ignore droppederr best-effort close of the replaced store; the new pager is already live
 	old.Close()
 	return nil

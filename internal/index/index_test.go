@@ -2,9 +2,14 @@ package index
 
 import (
 	"encoding/binary"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vitri/internal/core"
@@ -365,6 +370,79 @@ func TestDriftDetectionAndRebuild(t *testing.T) {
 	}
 }
 
+// TestFitFromOneMomentPass pins how Build and Rebuild fit the default
+// reference point: from the same running moments the drift check reads,
+// so DriftAngle is exactly 0 right after either — not merely small, as it
+// would be with O′ fitted from a second, separately rounded covariance
+// pass.
+func TestFitFromOneMomentPass(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	videos := make([][]vec.Vector, 30)
+	for i := range videos {
+		videos[i] = makeVideo(r, 8, 3, 20)
+	}
+	ix, err := Build(summarizeAll(videos[:20]), Options{Epsilon: testEps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := ix.Transform().Kind(); k != refpoint.Optimal {
+		t.Fatalf("default mapper is %v, want %v", k, refpoint.Optimal)
+	}
+	if a := ix.DriftAngle(); a != 0 {
+		t.Fatalf("drift angle right after Build = %v, want exactly 0", a)
+	}
+	for i, s := range summarizeAll(videos) {
+		if i < 20 {
+			continue
+		}
+		if err := ix.Insert(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Remove(3); err != nil {
+		t.Fatal(err)
+	}
+	if a := ix.DriftAngle(); a == 0 {
+		t.Fatal("drift angle stayed exactly 0 after inserts and a remove; the running moments are not tracked")
+	}
+	if err := ix.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if a := ix.DriftAngle(); a != 0 {
+		t.Fatalf("drift angle right after Rebuild = %v, want exactly 0", a)
+	}
+}
+
+// TestNoCovariancePassOnBuild guards the one-pass build statically: the
+// index and reference-point packages fit O′ from running moments
+// (linalg.Moments), so neither may call the two-pass covariance or the
+// full eigendecomposition.
+func TestNoCovariancePassOnBuild(t *testing.T) {
+	banned := map[string]bool{"Covariance": true, "ComputePCA": true, "EigenSym": true}
+	for _, dir := range []string{".", "../refpoint"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for name, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "linalg" && banned[sel.Sel.Name] {
+						t.Errorf("%s calls linalg.%s", name, sel.Sel.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
 func TestRebuildPreservesContent(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	videos, _, ix := buildCorpus(t, r, 20, 8)
@@ -436,6 +514,37 @@ func TestSearchPruningUsesIndex(t *testing.T) {
 	}
 	if int(stats.PageReads) >= totalPages/2 {
 		t.Fatalf("search read %d pages of a %d-page tree: no pruning", stats.PageReads, totalPages)
+	}
+}
+
+// TestIDistanceBackedIndex drives the multi-reference iDistance mapper
+// end to end: a noisy copy of an indexed video must rank that video first
+// in both query modes, and the tree must stay well formed.
+func TestIDistanceBackedIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(80))
+	videos := make([][]vec.Vector, 20)
+	for i := range videos {
+		videos[i] = makeVideo(r, 8, 2, 20)
+	}
+	ix, err := Build(summarizeAll(videos), Options{Epsilon: testEps, RefKind: refpoint.MultiRef, Partitions: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := ix.Transform().Kind(); k != refpoint.MultiRef {
+		t.Fatalf("mapper kind %v, want %v", k, refpoint.MultiRef)
+	}
+	q := core.Summarize(9999, perturb(r, videos[6], 0.01), core.Options{Epsilon: testEps, Seed: 1})
+	for _, mode := range []Mode{Naive, Composed} {
+		res, _, err := ix.Search(&q, 5, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) == 0 || res[0].VideoID != 6 {
+			t.Fatalf("mode %v: iDistance top match = %+v, want video 6", mode, res)
+		}
+	}
+	if err := ix.CheckTree(); err != nil {
+		t.Fatal(err)
 	}
 }
 

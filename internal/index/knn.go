@@ -11,7 +11,8 @@ import (
 	"vitri/internal/sig"
 )
 
-// Mode selects the KNN range-processing strategy of §5.2.
+// Mode selects the KNN range-processing strategy of §5.2. The zero value
+// is Naive, the paper's baseline; both modes return identical rankings.
 type Mode int
 
 const (

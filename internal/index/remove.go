@@ -1,18 +1,14 @@
 package index
 
-import (
-	"fmt"
-
-	"vitri/internal/vec"
-)
+import "fmt"
 
 // Remove deletes a video's triplets from the index. The per-video keys
 // recorded at insert time locate each record in one B+-tree descent; the
-// removed positions are subtracted from the drift accumulators so
+// removed positions are subtracted from the running moments so
 // DriftAngle keeps reflecting the live contents. The subtraction reads
 // the catalog's exact float64 positions in cluster-ordinal order — the
 // leaf copies may be float32-quantized, and un-accumulating a rounded
-// position would leave a residue in the covariance sums.
+// position would leave a residue in the moments.
 //
 // Removing the last video leaves an empty but functional index.
 func (ix *Index) Remove(videoID int) error {
@@ -39,22 +35,10 @@ func (ix *Index) Remove(videoID int) error {
 		}
 	}
 	for ti := range info.trips {
-		ix.unaccumulate(info.trips[ti].Position)
+		ix.mom.Sub(info.trips[ti].Position)
 	}
 	delete(ix.catalog, vid)
 	return nil
-}
-
-// unaccumulate reverses accumulate for a removed position.
-func (ix *Index) unaccumulate(p vec.Vector) {
-	ix.posCount--
-	for i, v := range p {
-		ix.posSum[i] -= v
-		row := ix.posOuter[i*ix.dim : (i+1)*ix.dim]
-		for j, w := range p {
-			row[j] -= v * w
-		}
-	}
 }
 
 // Contains reports whether a video is currently indexed.

@@ -1,7 +1,8 @@
 // Package linalg implements the small dense linear-algebra substrate the
-// ViTri index needs: symmetric matrices, covariance estimation, a Jacobi
-// eigensolver, and principal component analysis with the paper's "variance
-// segment" construct (Definition 1).
+// ViTri index needs: symmetric matrices, covariance estimation (two-pass,
+// or from running moments), a Jacobi eigensolver, power iteration, and
+// principal component analysis with the paper's "variance segment"
+// construct (Definition 1).
 //
 // The library is deliberately self-contained (stdlib only) and tuned for
 // the moderate dimensionalities of image feature spaces (tens to a few

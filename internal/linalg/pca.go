@@ -49,10 +49,15 @@ func (s VarianceSegment) Length() float64 { return s.Hi - s.Lo }
 
 // SegmentFor computes the variance segment of component k over points.
 func (p PCA) SegmentFor(points []vec.Vector, k int) VarianceSegment {
+	return SegmentAlong(points, p.Components[k])
+}
+
+// SegmentAlong computes the variance segment of points along the unit
+// direction comp: the extreme scalar projections x·comp.
+func SegmentAlong(points []vec.Vector, comp vec.Vector) VarianceSegment {
 	if len(points) == 0 {
-		panic("linalg: SegmentFor with no points")
+		panic("linalg: SegmentAlong with no points")
 	}
-	comp := p.Components[k]
 	lo := math.Inf(1)
 	hi := math.Inf(-1)
 	for _, pt := range points {
@@ -70,14 +75,23 @@ func (p PCA) SegmentFor(points []vec.Vector, k int) VarianceSegment {
 // AngleBetween returns the angle in radians between two directions,
 // insensitive to sign (eigenvectors are defined up to ±). Used by the index
 // to detect principal-direction drift under dynamic insertion (§6.3.3).
+//
+// It uses the half-angle form 2·atan2(|u−v|, |u+v|) over the unit vectors
+// u, v rather than acos(u·v): acos cannot resolve angles below about 1e-8
+// (its argument rounds to 1), while the half-angle form is accurate down
+// to zero and returns exactly 0 for equal directions.
 func AngleBetween(a, b vec.Vector) float64 {
 	na, nb := vec.Norm(a), vec.Norm(b)
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	c := math.Abs(vec.Dot(a, b)) / (na * nb)
-	if c > 1 {
-		c = 1
+	var diff, sum float64
+	for i := range a {
+		u, v := a[i]/na, b[i]/nb
+		diff += (u - v) * (u - v)
+		sum += (u + v) * (u + v)
 	}
-	return math.Acos(c)
+	// The smaller of the two is the angle between the lines (a and −b span
+	// the same one).
+	return 2 * math.Atan2(math.Sqrt(math.Min(diff, sum)), math.Sqrt(math.Max(diff, sum)))
 }

@@ -4,7 +4,7 @@
 // prune by the triangle inequality.
 //
 // Three reference-point strategies are provided, matching the paper's
-// comparison:
+// comparison; Optimal, the paper's, is the zero Kind:
 //
 //   - SpaceCenter — the center of the (bounded) data space, as in the
 //     iDistance baseline configuration;
@@ -21,16 +21,17 @@ import (
 	"vitri/internal/vec"
 )
 
-// Kind selects the reference-point strategy.
+// Kind selects the reference-point strategy. The zero value is Optimal,
+// the paper's contribution; the others exist for its comparisons.
 type Kind int
 
 const (
+	// Optimal uses the PCA construction of Theorem 1.
+	Optimal Kind = iota
 	// SpaceCenter uses the midpoint of the data space bounds.
-	SpaceCenter Kind = iota
+	SpaceCenter
 	// DataCenter uses the centroid of the dataset.
 	DataCenter
-	// Optimal uses the PCA construction of Theorem 1.
-	Optimal
 	// MultiRef is the full iDistance scheme (the paper's [15]): k-means
 	// partition centers as reference points with disjoint key bands.
 	// Built with NewMulti, not New.
@@ -82,8 +83,27 @@ type Transform struct {
 
 // New builds a transform of the configured kind over the given points
 // (points are required for DataCenter and Optimal; SpaceCenter needs only
-// the dimensionality of the first point).
+// the dimensionality of the first point). For Optimal it runs the moment
+// pass itself and then fits exactly as Fit does.
 func New(cfg Config, points []vec.Vector) (*Transform, error) {
+	var m *linalg.Moments
+	if cfg.Kind == Optimal && len(points) > 0 {
+		m = linalg.NewMoments(len(points[0]))
+		for _, p := range points {
+			m.Add(p)
+		}
+	}
+	return Fit(cfg, m, points)
+}
+
+// Fit builds a transform of the configured kind over points. For Optimal,
+// m must hold the moments of exactly these points (a caller that keeps
+// running moments anyway, like the index, passes them in so the fit costs
+// no second covariance pass); the other kinds ignore m.
+//
+// The Optimal fit takes Φ1 and the data mean from the moments and makes
+// one O(n·dim) pass over points for Φ1's variance segment.
+func Fit(cfg Config, m *linalg.Moments, points []vec.Vector) (*Transform, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("refpoint: no points to derive a %v reference", cfg.Kind)
 	}
@@ -109,8 +129,17 @@ func New(cfg Config, points []vec.Vector) (*Transform, error) {
 		if off < 0 {
 			return nil, fmt.Errorf("refpoint: negative offset fraction %v", off)
 		}
-		p := linalg.ComputePCA(points)
-		seg := p.SegmentFor(points, 0)
+		if m == nil || m.Count() != len(points) {
+			return nil, fmt.Errorf("refpoint: optimal fit needs the moments of its %d points", len(points))
+		}
+		pc := m.FirstPC()
+		if pc == nil {
+			// One point has no principal direction; any unit vector
+			// serves.
+			pc = make(vec.Vector, dim)
+			pc[0] = 1
+		}
+		seg := linalg.SegmentAlong(points, pc)
 		// Place the reference on the Φ1 line through the data mean,
 		// beyond the segment's upper end by off×length. With zero
 		// variance (all points equal) the segment degenerates; fall back
@@ -119,11 +148,10 @@ func New(cfg Config, points []vec.Vector) (*Transform, error) {
 		if length == 0 {
 			length = 1
 		}
-		mean := vec.Mean(points)
-		meanProj := vec.Dot(mean, p.First())
-		shift := (seg.Hi - meanProj) + off*length
-		ref := vec.Add(mean, vec.Scale(p.First(), shift))
-		return &Transform{kind: cfg.Kind, ref: ref, firstPC: vec.Clone(p.First()), segment: seg}, nil
+		mean := m.Mean()
+		shift := (seg.Hi - vec.Dot(mean, pc)) + off*length
+		ref := vec.Add(mean, vec.Scale(pc, shift))
+		return &Transform{kind: cfg.Kind, ref: ref, firstPC: pc, segment: seg}, nil
 	}
 	return nil, fmt.Errorf("refpoint: unknown kind %v", cfg.Kind)
 }
@@ -154,6 +182,13 @@ func (t *Transform) DriftAngle(points []vec.Vector) float64 {
 	if t.firstPC == nil || len(points) == 0 {
 		return 0
 	}
-	p := linalg.ComputePCA(points)
-	return linalg.AngleBetween(t.firstPC, p.First())
+	m := linalg.NewMoments(len(points[0]))
+	for _, p := range points {
+		m.Add(p)
+	}
+	cur := m.FirstPC()
+	if cur == nil {
+		return 0
+	}
+	return linalg.AngleBetween(t.firstPC, cur)
 }

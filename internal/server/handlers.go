@@ -21,7 +21,8 @@ type searchRequest struct {
 	// Epsilon overrides the summarization threshold for the query side
 	// only; the index always searches at the ε it was built with.
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Mode is "composed" (default) or "naive".
+	// Mode is "composed" or "naive"; absent means "composed". (The Go
+	// API differs: vitri.QueryMode's zero value is Naive.)
 	Mode string `json:"mode,omitempty"`
 }
 

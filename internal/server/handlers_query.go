@@ -20,7 +20,9 @@ import (
 // counters in /stats.
 
 // parseMode maps a request's mode string onto a QueryMode, answering 400
-// itself on unknown values.
+// itself on unknown values. An absent mode is Composed, not
+// vitri.QueryMode's zero value (Naive): over HTTP the default is the
+// cheaper composed scan.
 func parseMode(w http.ResponseWriter, mode string) (vitri.QueryMode, bool) {
 	switch mode {
 	case "", "composed":
@@ -52,7 +54,8 @@ type imageSearchRequest struct {
 	Frame []float64 `json:"frame"`
 	// K is the result count (Config.DefaultK when omitted).
 	K int `json:"k,omitempty"`
-	// Mode is "composed" (default) or "naive".
+	// Mode is "composed" or "naive"; absent means "composed". (The Go
+	// API differs: vitri.QueryMode's zero value is Naive.)
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -107,7 +110,8 @@ type temporalSearchRequest struct {
 	// Weight blends order into the ranking: score =
 	// (1-weight)·bag + weight·temporal, in [0, 1]. Defaults to 0.5.
 	Weight *float64 `json:"weight,omitempty"`
-	// Mode is "composed" (default) or "naive".
+	// Mode is "composed" or "naive"; absent means "composed". (The Go
+	// API differs: vitri.QueryMode's zero value is Naive.)
 	Mode string `json:"mode,omitempty"`
 }
 

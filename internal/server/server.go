@@ -38,22 +38,26 @@ import (
 // Config tunes the service. The zero value is usable: every field has a
 // serving-quality default.
 type Config struct {
-	// DefaultK is the result count when a search request omits k.
+	// DefaultK is the result count when a search request omits k (10
+	// when zero).
 	DefaultK int
-	// MaxK bounds requested k (guards per-request allocation).
+	// MaxK bounds requested k (guards per-request allocation; 1000 when
+	// zero).
 	MaxK int
 	// MaxInFlight is the admission limit shared by /search, /insert and
-	// /remove. Requests arriving with all slots held are shed with 429.
+	// /remove (64 when zero). Requests arriving with all slots held are
+	// shed with 429.
 	MaxInFlight int
 	// RequestTimeout bounds the work phase of one request; expired
 	// requests answer 504. Zero means no deadline.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint attached to 429 responses.
+	// RetryAfter is the hint attached to 429 responses (one second when
+	// zero).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps request bodies (413 beyond it).
+	// MaxBodyBytes caps request bodies (413 beyond it; 32 MiB when zero).
 	MaxBodyBytes int64
 	// CacheStats, when set, surfaces the page cache hit rate in /stats
-	// (see CachedPager).
+	// (see CachedPager); when nil /stats has no cache field.
 	CacheStats func() (accesses, hits uint64, rate float64)
 	// CheckpointEvery, on a durable database, folds the journal into a
 	// fresh snapshot whenever its depth reaches this many operations.

@@ -14,14 +14,30 @@ import (
 // and the only permitted difference is the SimilarityOps/SignatureSkips
 // split in SearchStats.
 
-// newTierDB is New with the signature tier and/or the quantized leaf
-// encoding held off on every shard, through the engines' test hooks —
-// set here, before anything can build an index.
-func newTierDB(opts Options, noSig, unquantized bool) *DB {
-	db := New(opts)
+// tierHooks names the engine test hooks the differential suites flip: the
+// signature tier off, float64 leaves instead of quantized ones, and the
+// fixed space-center reference point instead of the fitted O′.
+type tierHooks struct {
+	noSig, unquantized, spaceCenter bool
+}
+
+// set applies the hooks to every engine of db. It must run before
+// anything builds an index: on New, or right after an open, since
+// recovery only queues summaries and the index is built lazily.
+func (h tierHooks) set(db *DB) {
 	for _, e := range db.shards {
-		e.testNoSignatures, e.testFloat64Leaves = noSig, unquantized
+		h.setEngine(e)
 	}
+}
+
+func (h tierHooks) setEngine(e *engine) {
+	e.testNoSignatures, e.testFloat64Leaves, e.testSpaceCenter = h.noSig, h.unquantized, h.spaceCenter
+}
+
+// newTierDB is New with the given hooks set on every shard.
+func newTierDB(opts Options, h tierHooks) *DB {
+	db := New(opts)
+	h.set(db)
 	return db
 }
 
@@ -29,7 +45,7 @@ func newTierDB(opts Options, noSig, unquantized bool) *DB {
 // corpus.
 func prefilterCorpusDB(t *testing.T, videos []Video, noSig, unquantized bool) *DB {
 	t.Helper()
-	db := newTierDB(Options{Epsilon: 0.3, Seed: 7}, noSig, unquantized)
+	db := newTierDB(Options{Epsilon: 0.3, Seed: 7}, tierHooks{noSig: noSig, unquantized: unquantized})
 	if _, err := db.AddBatch(videos); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
@@ -118,7 +134,7 @@ func TestPreFilterEquivalenceAfterChurn(t *testing.T) {
 	videos := ingestCorpus(89, 36)
 	queries := equivQueries(5)
 	on := New(Options{Epsilon: 0.3, Seed: 7})
-	off := newTierDB(Options{Epsilon: 0.3, Seed: 7}, true, true)
+	off := newTierDB(Options{Epsilon: 0.3, Seed: 7}, tierHooks{noSig: true, unquantized: true})
 	for _, db := range []*DB{on, off} {
 		equivApply(t, db, videos)
 	}

@@ -3,6 +3,7 @@ package vitri
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -54,16 +55,18 @@ func equivQueries(n int) []Summary {
 // checkEquiv asserts oracle and sharded agree on every observable that
 // is shard-count-invariant: contents (byte-for-byte), Len, Triplets,
 // entry counts, and for every query and both modes the full ranking
-// bit-for-bit plus the candidate and geometry-evaluation totals (each
-// record is scanned in exactly one shard against the same query-derived
-// ranges, so those work counters sum to the oracle's; PageReads and
-// Ranges legitimately depend on tree layout and are asserted
-// deterministic in checkDeterministic instead). Geometry evaluations are
-// compared as SimilarityOps + SignatureSkips: the signature tier moves
-// work between the two counters — a pruned candidate is a skip instead
-// of an op — but their sum is exactly the pre-tier op count, so the sum
-// is invariant across shard counts AND across tier on/off, letting one
-// oracle serve both configurations.
+// bit-for-bit. Rankings hold whatever the key layout because the exact
+// fold reads catalog triplets and the range scan is lossless.
+//
+// The work counters are not shard-invariant under the default reference
+// point: each shard fits its own O′ (Theorem 1) to its own triplets, so
+// the key ranges one query scans differ from shard to shard and
+// Candidates becomes a layout quantity like PageReads and Ranges.
+// checkWork asserts what holds instead, per row: under the fixed space
+// center (tierHooks.spaceCenter) each record is scanned in exactly one
+// shard against the same query-derived ranges, so the counters sum to
+// the oracle's; under the fitted O′ they are deterministic per shard
+// count and keep the tier accounting.
 func checkEquiv(t *testing.T, oracle *refDB, sharded *DB, queries []Summary, k int) {
 	t.Helper()
 	if got, want := sharded.Len(), oracle.e.len(); got != want {
@@ -77,8 +80,8 @@ func checkEquiv(t *testing.T, oracle *refDB, sharded *DB, queries []Summary, k i
 	}
 	for qi := range queries {
 		for _, mode := range []QueryMode{Naive, Composed} {
-			wantRes, wantStats, wantErr := oracle.SearchSummary(&queries[qi], k, mode)
-			gotRes, gotStats, gotErr := sharded.SearchSummary(&queries[qi], k, mode)
+			wantRes, _, wantErr := oracle.SearchSummary(&queries[qi], k, mode)
+			gotRes, _, gotErr := sharded.SearchSummary(&queries[qi], k, mode)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("query %d mode %v: err = %v, oracle err = %v", qi, mode, gotErr, wantErr)
 			}
@@ -87,11 +90,6 @@ func checkEquiv(t *testing.T, oracle *refDB, sharded *DB, queries []Summary, k i
 			}
 			if !matchesIdentical(gotRes, wantRes) {
 				t.Fatalf("query %d mode %v: matches diverge\n got: %+v\nwant: %+v", qi, mode, gotRes, wantRes)
-			}
-			if gotStats.Candidates != wantStats.Candidates ||
-				gotStats.SimilarityOps+gotStats.SignatureSkips != wantStats.SimilarityOps+wantStats.SignatureSkips {
-				t.Fatalf("query %d mode %v: work counters diverge: got %+v, oracle %+v",
-					qi, mode, gotStats, wantStats)
 			}
 		}
 	}
@@ -108,6 +106,65 @@ func checkEquiv(t *testing.T, oracle *refDB, sharded *DB, queries []Summary, k i
 	}
 	if err := sharded.CheckIndex(); err != nil {
 		t.Fatalf("CheckIndex: %v", err)
+	}
+}
+
+// summarySearcher is the search surface checkWork reads; DB and refDB
+// both provide it.
+type summarySearcher interface {
+	SearchSummary(q *Summary, k int, mode QueryMode) ([]Match, SearchStats, error)
+}
+
+// checkWork asserts the work-counter contract between got and ref, two
+// databases with the same contents, for every query and both modes:
+//
+//   - Candidates are equal;
+//   - SimilarityOps + SignatureSkips are equal: the signature tier moves
+//     work between the two counters — a pruned candidate is a skip
+//     instead of an op — but their sum is exactly the tier-off op count,
+//     so one reference serves tier on and off;
+//   - Candidates ≤ triplets, the number of indexed triplets: composed
+//     ranges are disjoint, so each record is a candidate at most once (a
+//     naive scan runs one range per query triplet, so there the bound is
+//     triplets per query triplet);
+//   - with sameLayout, Ranges and PageReads are equal too.
+//
+// The space-center row passes the single-engine oracle (the counters sum
+// across shards; layout counters differ, so sameLayout is false). The
+// default row passes an independent tier-off build at the same shard
+// count with the same leaf encoding (sameLayout), which makes the check a
+// determinism check per shard count as well as the tier accounting.
+func checkWork(t *testing.T, ref, got summarySearcher, triplets int, queries []Summary, k int, sameLayout bool) {
+	t.Helper()
+	for qi := range queries {
+		for _, mode := range []QueryMode{Naive, Composed} {
+			_, wantStats, wantErr := ref.SearchSummary(&queries[qi], k, mode)
+			_, gotStats, gotErr := got.SearchSummary(&queries[qi], k, mode)
+			if wantErr != nil || gotErr != nil {
+				t.Fatalf("query %d mode %v: errs %v / %v", qi, mode, gotErr, wantErr)
+			}
+			bound := triplets
+			if mode == Naive {
+				bound *= len(queries[qi].Triplets)
+			}
+			checkStats(t, fmt.Sprintf("query %d mode %v", qi, mode), wantStats, gotStats, bound, sameLayout)
+		}
+	}
+}
+
+// checkStats is checkWork's assertion for one query's stats, with
+// maxCandidates the candidate bound.
+func checkStats(t *testing.T, what string, want, got SearchStats, maxCandidates int, sameLayout bool) {
+	t.Helper()
+	if got.Candidates != want.Candidates ||
+		got.SimilarityOps+got.SignatureSkips != want.SimilarityOps+want.SignatureSkips {
+		t.Fatalf("%s: work counters diverge: got %+v, reference %+v", what, got, want)
+	}
+	if got.Candidates > maxCandidates {
+		t.Fatalf("%s: %d candidates, bound %d", what, got.Candidates, maxCandidates)
+	}
+	if sameLayout && (got.Ranges != want.Ranges || got.PageReads != want.PageReads) {
+		t.Fatalf("%s: layout counters diverge at one shard count: got %+v, reference %+v", what, got, want)
 	}
 }
 
@@ -153,61 +210,106 @@ func equivApply(t *testing.T, db equivDB, videos []Video) {
 
 // TestShardEquivalence is the tentpole differential test: the same
 // seeded workload applied to the bare-engine oracle and to shard counts
-// 1, 2, 3 and 8 yields bit-identical rankings, contents and
-// shard-invariant work counters at every phase.
+// 1, 2, 3 and 8 yields bit-identical rankings and contents at every
+// phase. The default rows (fitted O′) check the work counters against a
+// tier-off twin at the same shard count; the space-center rows check
+// that they sum to the oracle's (see checkEquiv).
 func TestShardEquivalence(t *testing.T) {
 	videos := ingestCorpus(83, 48)
 	queries := equivQueries(6)
-	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
+	opts := Options{Epsilon: 0.3, Seed: 7}
+	oracle := newRef(opts)
 	equivApply(t, oracle, videos)
 	for _, n := range equivShardCounts {
 		n := n
 		t.Run(shardName(n), func(t *testing.T) {
-			sharded := New(Options{Epsilon: 0.3, Seed: 7, Shards: n})
+			opts := opts
+			opts.Shards = n
+			sharded := New(opts)
 			if len(sharded.shards) != n {
 				t.Fatalf("router has %d shards, want %d", len(sharded.shards), n)
 			}
 			equivApply(t, sharded, videos)
 			checkEquiv(t, oracle, sharded, queries, 10)
+			twin := newTierDB(opts, tierHooks{noSig: true})
+			equivApply(t, twin, videos)
+			checkWork(t, twin, sharded, sharded.Triplets(), queries, 10, true)
+		})
+	}
+	sc := tierHooks{spaceCenter: true}
+	scOracle := newRef(opts)
+	sc.setEngine(scOracle.e)
+	equivApply(t, scOracle, videos)
+	for _, n := range equivShardCounts {
+		n := n
+		t.Run("space-center/"+shardName(n), func(t *testing.T) {
+			opts := opts
+			opts.Shards = n
+			sharded := newTierDB(opts, sc)
+			equivApply(t, sharded, videos)
+			checkEquiv(t, scOracle, sharded, queries, 10)
+			checkWork(t, scOracle, sharded, sharded.Triplets(), queries, 10, false)
 		})
 	}
 }
 
 // TestShardEquivalenceSearchBatch proves the batch search path merges
-// identically to per-query scatter and to the oracle.
+// identically to per-query scatter and to the oracle, with the work
+// counters checked per row as in TestShardEquivalence.
 func TestShardEquivalenceSearchBatch(t *testing.T) {
 	videos := ingestCorpus(84, 40)
 	queries := equivQueries(9)
-	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
-	equivApply(t, oracle, videos)
-	wantBatch := oracle.SearchBatch(queries, 7, Composed)
-	for _, n := range equivShardCounts {
-		n := n
-		t.Run(shardName(n), func(t *testing.T) {
-			sharded := New(Options{Epsilon: 0.3, Seed: 7, Shards: n})
-			equivApply(t, sharded, videos)
-			gotBatch, err := sharded.SearchBatch(queries, 7, Composed)
-			if err != nil {
-				t.Fatalf("SearchBatch: %v", err)
-			}
-			if len(gotBatch) != len(wantBatch) {
-				t.Fatalf("batch size %d, want %d", len(gotBatch), len(wantBatch))
-			}
-			for i := range gotBatch {
-				if (gotBatch[i].Err == nil) != (wantBatch[i].Err == nil) {
-					t.Fatalf("query %d: err %v, oracle %v", i, gotBatch[i].Err, wantBatch[i].Err)
+	opts := Options{Epsilon: 0.3, Seed: 7}
+	rows := []struct {
+		name string
+		h    tierHooks
+	}{
+		{"", tierHooks{}},
+		{"space-center/", tierHooks{spaceCenter: true}},
+	}
+	for _, row := range rows {
+		row := row
+		oracle := newRef(opts)
+		row.h.setEngine(oracle.e)
+		equivApply(t, oracle, videos)
+		wantBatch := oracle.SearchBatch(queries, 7, Composed)
+		for _, n := range equivShardCounts {
+			n := n
+			t.Run(row.name+shardName(n), func(t *testing.T) {
+				opts := opts
+				opts.Shards = n
+				sharded := newTierDB(opts, row.h)
+				equivApply(t, sharded, videos)
+				gotBatch, err := sharded.SearchBatch(queries, 7, Composed)
+				if err != nil {
+					t.Fatalf("SearchBatch: %v", err)
 				}
-				if !matchesIdentical(gotBatch[i].Results, wantBatch[i].Results) {
-					t.Fatalf("query %d: batch matches diverge from oracle", i)
+				if len(gotBatch) != len(wantBatch) {
+					t.Fatalf("batch size %d, want %d", len(gotBatch), len(wantBatch))
 				}
-				if gotBatch[i].Stats.Candidates != wantBatch[i].Stats.Candidates ||
-					gotBatch[i].Stats.SimilarityOps+gotBatch[i].Stats.SignatureSkips !=
-						wantBatch[i].Stats.SimilarityOps+wantBatch[i].Stats.SignatureSkips {
-					t.Fatalf("query %d: work counters diverge: got %+v, oracle %+v",
-						i, gotBatch[i].Stats, wantBatch[i].Stats)
+				// The space-center row's counters sum to the oracle's;
+				// the default row's are checked against a tier-off
+				// twin's batch at the same shard count.
+				refBatch, sameLayout := wantBatch, false
+				if !row.h.spaceCenter {
+					twin := newTierDB(opts, tierHooks{noSig: true})
+					equivApply(t, twin, videos)
+					if refBatch, err = twin.SearchBatch(queries, 7, Composed); err != nil {
+						t.Fatalf("twin SearchBatch: %v", err)
+					}
+					sameLayout = true
 				}
-			}
-		})
+				for i := range gotBatch {
+					if (gotBatch[i].Err == nil) != (wantBatch[i].Err == nil) {
+						t.Fatalf("query %d: err %v, oracle %v", i, gotBatch[i].Err, wantBatch[i].Err)
+					}
+					if !matchesIdentical(gotBatch[i].Results, wantBatch[i].Results) {
+						t.Fatalf("query %d: batch matches diverge from oracle", i)
+					}
+					checkStats(t, fmt.Sprintf("query %d", i), refBatch[i].Stats, gotBatch[i].Stats, sharded.Triplets(), sameLayout)
+				}
+			})
+		}
 	}
 }
 
@@ -292,25 +394,60 @@ func TestShardEquivalenceDurable(t *testing.T) {
 		return reopened
 	}
 
-	oracleFS := vfs.NewMemFS()
-	oracle := runStore(t, func(o Options) (equivDB, error) {
-		return openRef("store", o, oracleFS)
-	}).(*refDB)
-	for _, n := range equivShardCounts {
-		n := n
-		t.Run(shardName(n), func(t *testing.T) {
-			fsys := vfs.NewMemFS()
-			shards := n // the first open creates n shards; the reopen adopts them
-			sharded := runStore(t, func(o Options) (equivDB, error) {
-				o.Shards, shards = shards, 0
-				o.Durable = &DurableOptions{FS: fsys}
-				return OpenDurable("store", o)
-			}).(*DB)
-			if len(sharded.shards) != n {
-				t.Fatalf("reopen recovered %d shards, want %d", len(sharded.shards), n)
+	// openOracle and openSharded open a fresh in-memory store with the
+	// hooks set after every open (recovery builds no index, so they land
+	// before the first build). The sharded store's first open creates n
+	// shards; the reopen adopts them.
+	openOracle := func(h tierHooks) func(Options) (equivDB, error) {
+		fsys := vfs.NewMemFS()
+		return func(o Options) (equivDB, error) {
+			r, err := openRef("store", o, fsys)
+			if err != nil {
+				return nil, err
 			}
-			checkEquiv(t, oracle, sharded, queries, 8)
-		})
+			h.setEngine(r.e)
+			return r, nil
+		}
+	}
+	openSharded := func(n int, h tierHooks) func(Options) (equivDB, error) {
+		fsys := vfs.NewMemFS()
+		return func(o Options) (equivDB, error) {
+			o.Shards, n = n, 0
+			o.Durable = &DurableOptions{FS: fsys}
+			db, err := OpenDurable("store", o)
+			if err != nil {
+				return nil, err
+			}
+			h.set(db)
+			return db, nil
+		}
+	}
+	rows := []struct {
+		name string
+		h    tierHooks
+	}{
+		{"", tierHooks{}},
+		{"space-center/", tierHooks{spaceCenter: true}},
+	}
+	for _, row := range rows {
+		row := row
+		oracle := runStore(t, openOracle(row.h)).(*refDB)
+		for _, n := range equivShardCounts {
+			n := n
+			t.Run(row.name+shardName(n), func(t *testing.T) {
+				sharded := runStore(t, openSharded(n, row.h)).(*DB)
+				if len(sharded.shards) != n {
+					t.Fatalf("reopen recovered %d shards, want %d", len(sharded.shards), n)
+				}
+				checkEquiv(t, oracle, sharded, queries, 8)
+				if row.h.spaceCenter {
+					checkWork(t, oracle, sharded, sharded.Triplets(), queries, 8, false)
+					return
+				}
+				twin := runStore(t, openSharded(n, tierHooks{noSig: true})).(*DB)
+				checkWork(t, twin, sharded, sharded.Triplets(), queries, 8, true)
+			})
+		}
 	}
 }
 
@@ -318,14 +455,21 @@ func TestShardEquivalenceDurable(t *testing.T) {
 // engine knobs that must not change any observable: signature tier off,
 // unquantized float64 leaves, and both at once. Every configuration is
 // checked against the same default-engine oracle — bit-identical
-// rankings, byte-identical contents, equal candidate counts, and the
-// tier-invariant work sum (checkEquiv). Sharded configurations with the
-// tier disabled must report zero signature skips.
+// rankings and byte-identical contents (checkEquiv). The work counters
+// are checked per row: the default rows against a tier-off build with
+// the same leaf encoding at the same shard count, the space-center rows
+// against the space-center oracle (checkWork). Sharded configurations
+// with the tier disabled must report zero signature skips.
 func TestShardEquivalencePreFilterOff(t *testing.T) {
 	videos := ingestCorpus(87, 40)
 	queries := equivQueries(6)
-	oracle := newRef(Options{Epsilon: 0.3, Seed: 7})
+	opts := Options{Epsilon: 0.3, Seed: 7}
+	oracle := newRef(opts)
 	equivApply(t, oracle, videos)
+	sc := tierHooks{spaceCenter: true}
+	scOracle := newRef(opts)
+	sc.setEngine(scOracle.e)
+	equivApply(t, scOracle, videos)
 	configs := []struct {
 		name       string
 		noSig, unq bool
@@ -334,25 +478,41 @@ func TestShardEquivalencePreFilterOff(t *testing.T) {
 		{"unquantized", false, true},
 		{"both-off", true, true},
 	}
-	for _, n := range []int{1, 3} {
-		for _, cfg := range configs {
-			n, cfg := n, cfg
-			t.Run(shardName(n)+"/"+cfg.name, func(t *testing.T) {
-				db := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: n}, cfg.noSig, cfg.unq)
-				equivApply(t, db, videos)
-				checkEquiv(t, oracle, db, queries, 10)
-				if cfg.noSig {
-					for qi := range queries {
-						_, stats, err := db.SearchSummary(&queries[qi], 10, Composed)
-						if err != nil {
-							t.Fatalf("query %d: %v", qi, err)
-						}
-						if stats.SignatureSkips != 0 {
-							t.Fatalf("query %d: %d signature skips with the tier disabled", qi, stats.SignatureSkips)
+	for _, spaceCenter := range []bool{false, true} {
+		for _, n := range []int{1, 3} {
+			for _, cfg := range configs {
+				spaceCenter, n, cfg := spaceCenter, n, cfg
+				name := shardName(n) + "/" + cfg.name
+				if spaceCenter {
+					name = "space-center/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					opts := opts
+					opts.Shards = n
+					db := newTierDB(opts, tierHooks{noSig: cfg.noSig, unquantized: cfg.unq, spaceCenter: spaceCenter})
+					equivApply(t, db, videos)
+					if spaceCenter {
+						checkEquiv(t, scOracle, db, queries, 10)
+						checkWork(t, scOracle, db, db.Triplets(), queries, 10, false)
+					} else {
+						checkEquiv(t, oracle, db, queries, 10)
+						twin := newTierDB(opts, tierHooks{noSig: true, unquantized: cfg.unq})
+						equivApply(t, twin, videos)
+						checkWork(t, twin, db, db.Triplets(), queries, 10, true)
+					}
+					if cfg.noSig {
+						for qi := range queries {
+							_, stats, err := db.SearchSummary(&queries[qi], 10, Composed)
+							if err != nil {
+								t.Fatalf("query %d: %v", qi, err)
+							}
+							if stats.SignatureSkips != 0 {
+								t.Fatalf("query %d: %d signature skips with the tier disabled", qi, stats.SignatureSkips)
+							}
 						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

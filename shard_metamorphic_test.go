@@ -135,7 +135,7 @@ func TestShardMetamorphicPreFilterNeutral(t *testing.T) {
 		t.Run(shardName(shards), func(t *testing.T) {
 			ref := buildVariant(t, videos, shards, "batch")
 			checkAgainstRef(t, buildRef(t, videos), ref, shards, queries, 8)
-			off := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: shards}, true, true)
+			off := newTierDB(Options{Epsilon: 0.3, Seed: 7, Shards: shards}, tierHooks{noSig: true, unquantized: true})
 			for _, v := range permuted(videos, 4) {
 				if err := off.Add(v.ID, v.Frames); err != nil {
 					t.Fatalf("Add(%d): %v", v.ID, err)

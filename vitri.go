@@ -32,7 +32,6 @@ import (
 	"vitri/internal/core"
 	"vitri/internal/index"
 	"vitri/internal/pager"
-	"vitri/internal/refpoint"
 	"vitri/internal/temporal"
 	"vitri/internal/vec"
 )
@@ -52,29 +51,20 @@ type Match = index.Result
 // SearchStats reports the work one query performed.
 type SearchStats = index.SearchStats
 
-// RefPointKind selects the one-dimensional transformation's reference
-// point.
-type RefPointKind = refpoint.Kind
-
-// Reference point strategies (§5.1 of the paper).
-const (
-	SpaceCenter = refpoint.SpaceCenter
-	DataCenter  = refpoint.DataCenter
-	Optimal     = refpoint.Optimal
-	// IDistance is the full multi-partition iDistance scheme of the
-	// paper's [15] (k-means reference points, disjoint key bands).
-	IDistance = refpoint.MultiRef
-)
-
-// QueryMode selects the KNN range processing strategy (§5.2).
+// QueryMode selects the KNN range processing strategy (§5.2). Its zero
+// value is Naive, the paper's baseline, not Composed: a caller that wants
+// query composition must pass Composed. Both return identical rankings;
+// they differ only in page reads.
 type QueryMode = index.Mode
 
 // Query processing modes.
 const (
-	// Naive issues one B+-tree range search per query triplet.
+	// Naive issues one B+-tree range search per query triplet. It is
+	// QueryMode's zero value.
 	Naive = index.Naive
-	// Composed merges overlapping ranges first (query composition);
-	// the default.
+	// Composed merges overlapping ranges first (query composition), so
+	// every leaf page is read at most once per query. It is what the HTTP
+	// server uses when a request names no mode.
 	Composed = index.Composed
 )
 
@@ -90,7 +80,9 @@ var (
 	ErrEmptyDB = errors.New("vitri: database is empty")
 )
 
-// Options configures a database.
+// Options configures a database. No option selects the reference point:
+// every shard keys its triplets by the paper's Theorem 1 O′, fitted to the
+// triplets it holds.
 type Options struct {
 	// Epsilon is the frame similarity threshold ε: two frames are
 	// considered similar when their Euclidean distance is at most ε.
@@ -98,17 +90,9 @@ type Options struct {
 	// radius. Must be positive. The paper operates at 0.3 for
 	// 64-dimensional normalized RGB histograms.
 	Epsilon float64
-	// RefKind is the reference point strategy; the default (Optimal) is
-	// the paper's contribution and the right choice outside of
-	// comparative experiments.
-	RefKind RefPointKind
 	// Seed drives summarization's clustering; fixed seeds give fully
 	// deterministic databases.
 	Seed int64
-	// Partitions is the partition count when RefKind is the multi-
-	// partition iDistance scheme (ignored otherwise; the refpoint
-	// package's default when 0).
-	Partitions int
 	// MaxDriftAngle, when positive, makes mutating operations rebuild
 	// the index automatically once the first principal component of the
 	// indexed data has drifted this many radians from the one the

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vitri/internal/dataset"
+	"vitri/internal/refpoint"
 )
 
 // synthVideo makes a video of a few gaussian shots in [0,1]^dim.
@@ -191,7 +194,7 @@ func TestDriftPolicyRebuilds(t *testing.T) {
 		}
 		return frames
 	}
-	db := New(Options{Epsilon: 0.3, RefKind: Optimal, MaxDriftAngle: 0.2, Seed: 1})
+	db := New(Options{Epsilon: 0.3, MaxDriftAngle: 0.2, Seed: 1})
 	for i := 0; i < 8; i++ {
 		if err := db.Add(i, mk(0, i)); err != nil {
 			t.Fatal(err)
@@ -252,24 +255,42 @@ func TestStatsAndCheckIndex(t *testing.T) {
 	}
 }
 
-func TestIDistanceBackedDB(t *testing.T) {
-	r := rand.New(rand.NewSource(80))
-	db := New(Options{Epsilon: 0.3, RefKind: IDistance, Partitions: 6, Seed: 1})
-	videos := make([][]Vector, 20)
-	for i := range videos {
-		videos[i] = synthVideo(r, 8, 2, 20)
-		if err := db.Add(i, videos[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	matches, err := db.Search(noisyCopy(r, videos[6], 0.01), 5)
+// TestDefaultIndexPrunes pins the default index to the paper's: with no
+// option naming a reference point, every shard keys its tree by Theorem
+// 1's O′, and on the paper-shaped synthetic corpus a near-duplicate query
+// visits well under the whole database. Under the space-center reference
+// point the same queries visit every triplet.
+func TestDefaultIndexPrunes(t *testing.T) {
+	sums, err := dataset.GenerateSummaries(dataset.DefaultSummaryConfig(20000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) == 0 || matches[0].VideoID != 6 {
-		t.Fatalf("iDistance top match = %+v, want video 6", matches)
+	db := New(Options{Epsilon: 0.3})
+	for _, s := range sums {
+		if err := db.AddSummary(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := db.CheckIndex(); err != nil {
+	if err := db.forceBuild(); err != nil {
 		t.Fatal(err)
+	}
+	if k := db.shards[0].ix.Transform().Kind(); k != refpoint.Optimal {
+		t.Fatalf("default reference point is %v, want %v", k, refpoint.Optimal)
+	}
+	rng := rand.New(rand.NewSource(1))
+	const queries = 20
+	frac := 0.0
+	for i := 0; i < queries; i++ {
+		q := dataset.QuerySummary(&sums[rng.Intn(len(sums))], 10_000_000+i, 0.01, rng)
+		_, stats, err := db.SearchSummary(&q, 10, Composed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac += float64(stats.Candidates) / float64(db.Triplets())
+	}
+	if mean := frac / queries; mean >= 0.7 {
+		t.Fatalf("mean candidates/triplets = %.3f, want < 0.7: the default index does not prune", mean)
+	} else {
+		t.Logf("mean candidates/triplets = %.3f over %d triplets", mean, db.Triplets())
 	}
 }
