@@ -1,6 +1,6 @@
-// Command vitrilint runs this module's static-analysis suite: four
-// stdlib-only analyzers that machine-check the invariants the
-// concurrent engine depends on (see internal/lint).
+// Command vitrilint runs this module's static-analysis suite: the
+// stdlib-only analyzers of internal/lint (lint.All; -h lists them),
+// which machine-check the invariants the concurrent engine depends on.
 //
 // Usage:
 //

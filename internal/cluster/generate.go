@@ -132,14 +132,14 @@ func (g *Generator) groupStats(points []vec.Vector, idx []int) (radius, mu, sigm
 	for _, i := range idx {
 		d := vec.Dist(points[i], g.mean)
 		sum += d
-		sum2 += d * d
+		sum2 += float64(d * d)
 		if d > maxD {
 			maxD = d
 		}
 	}
 	m := float64(len(idx))
 	mu = sum / m
-	variance := sum2/m - mu*mu
+	variance := sum2/m - float64(mu*mu)
 	if variance < 0 {
 		variance = 0
 	}

@@ -34,7 +34,7 @@ func RegIncompleteBeta(a, b, x float64) float64 {
 	}
 	// ln of the prefactor x^a (1-x)^b / (a B(a,b)).
 	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(lbeta + a*math.Log(x) + b*math.Log1p(-x))
+	front := math.Exp(lbeta + float64(a*math.Log(x)) + float64(b*math.Log1p(-x)))
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
 	}
@@ -63,7 +63,7 @@ func betaCF(a, b, x float64) float64 {
 		m2 := float64(2 * m)
 		mf := float64(m)
 		aa := mf * (b - mf) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -74,7 +74,7 @@ func betaCF(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + mf) * (qab + mf) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -83,7 +83,7 @@ func betaCF(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break

@@ -61,8 +61,8 @@ func Classify(d, r1, r2 float64) Lens {
 	// Cap angles from the law of cosines on the triangle (O1, O2, rim
 	// point). alpha_i is the half-angle of sphere i's cap beyond the
 	// radical hyperplane.
-	cos1 := (d*d + r1*r1 - r2*r2) / (2 * d * r1)
-	cos2 := (d*d + r2*r2 - r1*r1) / (2 * d * r2)
+	cos1 := (float64(d*d) + float64(r1*r1) - float64(r2*r2)) / (2 * d * r1)
+	cos2 := (float64(d*d) + float64(r2*r2) - float64(r1*r1)) / (2 * d * r2)
 	l := Lens{
 		Alpha1: math.Acos(clampCos(cos1)),
 		Alpha2: math.Acos(clampCos(cos2)),

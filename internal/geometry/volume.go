@@ -24,7 +24,7 @@ func checkRadius(r float64) {
 func LogUnitSphereVolume(n int) float64 {
 	checkDim(n)
 	nf := float64(n)
-	return nf/2*math.Log(math.Pi) - lgamma(nf/2+1)
+	return float64(nf/2*math.Log(math.Pi)) - lgamma(float64(nf/2)+1)
 }
 
 // SphereVolume returns the volume of an n-dimensional hypersphere of
@@ -45,7 +45,7 @@ func LogSphereVolume(n int, r float64) float64 {
 	if r == 0 {
 		return math.Inf(-1)
 	}
-	return LogUnitSphereVolume(n) + float64(n)*math.Log(r)
+	return LogUnitSphereVolume(n) + float64(float64(n)*math.Log(r))
 }
 
 // clampAngle normalizes α into [0, π]; volume formulas are defined on that
@@ -71,7 +71,7 @@ func CapFraction(n int, alpha float64) float64 {
 	alpha = clampAngle(alpha)
 	s := math.Sin(alpha)
 	x := s * s
-	half := 0.5 * RegIncompleteBeta((float64(n)+1)/2, 0.5, x)
+	half := float64(0.5 * RegIncompleteBeta((float64(n)+1)/2, 0.5, x))
 	if alpha <= math.Pi/2 {
 		return half
 	}

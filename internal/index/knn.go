@@ -153,7 +153,7 @@ func (ix *Index) scanQueryLocked(q *core.Summary, mode Mode) ([]queryTriplet, ma
 		}
 		qts[i] = queryTriplet{
 			vt:     vt,
-			ranges: ix.tr.Ranges(vt.Position, vt.Radius+ix.opts.Epsilon/2),
+			ranges: ix.tr.Ranges(vt.Position, vt.Radius+float64(ix.opts.Epsilon/2)),
 		}
 		if !ix.opts.DisableSignatures {
 			qts[i].psig = sig.FromTriplet(vt.Position, vt.Radius, cellW)

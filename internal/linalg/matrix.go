@@ -58,7 +58,7 @@ func (m *Sym) MulVec(x []float64) []float64 {
 		row := m.Data[i*m.N : (i+1)*m.N]
 		var s float64
 		for j, rv := range row {
-			s += rv * x[j]
+			s += float64(rv * x[j])
 		}
 		out[i] = s
 	}

@@ -169,7 +169,7 @@ func TestPCADominantDirection(t *testing.T) {
 func TestVarianceSegment(t *testing.T) {
 	pts := []vec.Vector{{-3, 0}, {5, 0}, {1, 0}, {0, 0}}
 	p := ComputePCA(pts)
-	seg := p.SegmentFor(pts, 0)
+	seg := SegmentAlong(pts, p.First())
 	// Φ1 is ±x axis; projections are ±the x coordinates.
 	lo, hi := seg.Lo, seg.Hi
 	if math.Abs(seg.Length()-8) > 1e-9 {
@@ -186,15 +186,6 @@ func TestAngleBetween(t *testing.T) {
 	}
 	if a := AngleBetween(vec.Vector{0, 0}, vec.Vector{1, 0}); a != 0 {
 		t.Errorf("zero vector angle = %v", a)
-	}
-}
-
-func TestProjectMatchesDot(t *testing.T) {
-	pts := []vec.Vector{{1, 2}, {3, 4}, {5, 6}, {2, 1}}
-	p := ComputePCA(pts)
-	x := vec.Vector{7, 8}
-	if got, want := p.Project(x, 0), vec.Dot(x, p.Components[0]); got != want {
-		t.Fatalf("Project = %v want %v", got, want)
 	}
 }
 

@@ -45,7 +45,7 @@ func (m *Moments) Sub(p vec.Vector) {
 func (m *Moments) fold(p vec.Vector, sign float64) {
 	outer := m.outer
 	for i, x := range p {
-		v := sign * x
+		v := float64(sign * x)
 		m.sum[i] += v
 		q := p[i:]
 		row := outer[:len(q)]
@@ -53,13 +53,13 @@ func (m *Moments) fold(p vec.Vector, sign float64) {
 		j := 0
 		for ; j+4 <= len(q); j += 4 {
 			r, s := row[j:j+4:j+4], q[j:j+4:j+4]
-			r[0] += v * s[0]
-			r[1] += v * s[1]
-			r[2] += v * s[2]
-			r[3] += v * s[3]
+			r[0] += float64(v * s[0])
+			r[1] += float64(v * s[1])
+			r[2] += float64(v * s[2])
+			r[3] += float64(v * s[3])
 		}
 		for ; j < len(q); j++ {
-			row[j] += v * q[j]
+			row[j] += float64(v * q[j])
 		}
 	}
 }
@@ -89,7 +89,7 @@ func (m *Moments) covariance() *Sym {
 		mi := m.sum[i] / n
 		for j := i; j < dim; j++ {
 			mj := m.sum[j] / n
-			cov.Set(i, j, m.outer[k]/n-mi*mj)
+			cov.Set(i, j, m.outer[k]/n-float64(mi*mj))
 			k++
 		}
 	}

@@ -27,13 +27,6 @@ func ComputePCA(points []vec.Vector) PCA {
 // First returns the first principal component Φ1 (largest variance).
 func (p PCA) First() vec.Vector { return p.Components[0] }
 
-// Project returns the scalar projection of x onto component k, measured in
-// the original (un-centered) coordinate frame, i.e. x·Φk. The paper's
-// Definition 1 uses exactly this O·Φ form.
-func (p PCA) Project(x vec.Vector, k int) float64 {
-	return vec.Dot(x, p.Components[k])
-}
-
 // VarianceSegment is the segment of the line identified by a principal
 // component between the two furthermost projections of the data
 // (Definition 1 in the paper). Lo and Hi are scalar projections onto the
@@ -46,11 +39,6 @@ type VarianceSegment struct {
 
 // Length returns the extent of the segment along the component.
 func (s VarianceSegment) Length() float64 { return s.Hi - s.Lo }
-
-// SegmentFor computes the variance segment of component k over points.
-func (p PCA) SegmentFor(points []vec.Vector, k int) VarianceSegment {
-	return SegmentAlong(points, p.Components[k])
-}
 
 // SegmentAlong computes the variance segment of points along the unit
 // direction comp: the extreme scalar projections x·comp.
@@ -88,8 +76,8 @@ func AngleBetween(a, b vec.Vector) float64 {
 	var diff, sum float64
 	for i := range a {
 		u, v := a[i]/na, b[i]/nb
-		diff += (u - v) * (u - v)
-		sum += (u + v) * (u + v)
+		diff += float64((u - v) * (u - v))
+		sum += float64((u + v) * (u + v))
 	}
 	// The smaller of the two is the angle between the lines (a and −b span
 	// the same one).

@@ -114,7 +114,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		// lockio seeds locks held across fsync/sends; cyclea+cycleb seed
 		// the cross-package lock-order cycle.
 		{LockOrder, []string{"locks", "lockio", "cyclea", "cycleb"}, 0},
-		{TrackedIO, []string{"btree", "index"}, 0},
 		{FloatOrder, []string{"floats"}, 0},
 		// The dropped fixture also seeds directive handling: two valid
 		// suppressions, malformed directives reported as [lint], and a
@@ -122,8 +121,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{DroppedErr, []string{"dropped"}, 2},
 		// hotvec seeds one suppressed cold-loop Clone.
 		{HotAlloc, []string{"hotvec", "hotcluster"}, 1},
-		// renames seeds one suppressed contents-untouched rename.
-		{SyncBeforeRename, []string{"renames"}, 1},
 		{GoroutineLife, []string{"goro"}, 0},
 		{AtomicMix, []string{"atomix"}, 0},
 	}
@@ -169,12 +166,12 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchDiags(t, res.Diagnostics, collectWants(t, root,
-		[]string{"pager", "locks", "btree", "index", "floats", "dropped", "clean", "hotvec", "hotcluster", "vfs", "renames", "lockio", "cyclea", "cycleb", "goro", "atomix"}))
-	if res.Suppressed != 5 {
-		t.Errorf("suppressed = %d, want 5", res.Suppressed)
+		[]string{"pager", "locks", "floats", "dropped", "clean", "hotvec", "hotcluster", "vfs", "lockio", "cyclea", "cycleb", "goro", "atomix"}))
+	if res.Suppressed != 4 {
+		t.Errorf("suppressed = %d, want 4", res.Suppressed)
 	}
-	if res.Packages != 16 {
-		t.Errorf("packages = %d, want 16", res.Packages)
+	if res.Packages != 13 {
+		t.Errorf("packages = %d, want 13", res.Packages)
 	}
 	format := regexp.MustCompile(`^[^:]+\.go:\d+: \[[a-z]+\] .+$`)
 	for _, d := range res.Diagnostics {
@@ -192,7 +189,7 @@ func TestPatternsSelectPackages(t *testing.T) {
 		patterns []string
 		packages int
 	}{
-		{[]string{"./..."}, 16},
+		{[]string{"./..."}, 13},
 		{[]string{"./locks"}, 1},
 		{[]string{"./locks", "./floats"}, 2},
 		{[]string{"./nosuchdir"}, 0},
@@ -224,11 +221,9 @@ func ExampleAll() {
 	}
 	// Output:
 	// lockorder
-	// trackedio
 	// floatorder
 	// droppederr
 	// hotalloc
-	// syncbeforerename
 	// goroutinelife
 	// atomicmix
 }

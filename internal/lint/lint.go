@@ -3,14 +3,12 @@
 // go/types (the module carries no external dependencies, so
 // golang.org/x/tools is deliberately off-limits).
 //
-// It exists to machine-check the three invariants PR 1 documented in
-// prose, which review alone will not keep true as the tree grows:
+// It machine-checks invariants whose violations the test suites can
+// miss, because breaking them need not change a result a test compares:
 //
 //   - the checkpoint → shard-view → engine → Index → Tree → pager lock
-//     hierarchy (analyzer lockorder),
-//   - per-scan I/O attribution through pager.ScanStats on every search
-//     path — the paper's §5.2 headline metric is page accesses, so one
-//     unattributed read corrupts the reproduction (analyzer trackedio),
+//     hierarchy, unlock-on-every-path, and no ranked lock held across
+//     an fsync or a blocking send (analyzer lockorder),
 //   - byte-identical results regardless of parallelism, which forbids
 //     float accumulation in map iteration order (analyzer floatorder),
 //   - no silently dropped errors from module mutators (analyzer
@@ -18,10 +16,6 @@
 //   - no per-iteration allocations from the vec helpers inside the
 //     summarization hot loops, which the ingest pipeline's zero-alloc
 //     Lloyd kernels depend on (analyzer hotalloc),
-//   - the durability layer's atomic-replace discipline: a vfs Rename
-//     publishes the source file's bytes, so the file must be fsynced
-//     first or a crash can leave the new name pointing at garbage
-//     (analyzer syncbeforerename),
 //   - every spawned goroutine has a provable join or cancel path —
 //     WaitGroup, channel send/close, or a receive loop — and loops do
 //     not spawn unboundedly without a semaphore (analyzer
@@ -32,6 +26,10 @@
 //     interprocedural entry-lock sets), and every field of a
 //     mutex-carrying struct in the durability and serving paths carries
 //     a concurrency annotation (analyzer atomicmix).
+//
+// An analyzer stays only while it catches a seeded bug that go vet, the
+// race-enabled test suites, the crash enumerator and the fuzzers all
+// miss; README.md's static-analysis table records which bug that is.
 //
 // The lockorder, goroutinelife and atomicmix analyzers are
 // interprocedural: they share a module-wide call graph (callgraph.go)
@@ -162,7 +160,7 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 
 // All returns the full analyzer suite in stable reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{LockOrder, TrackedIO, FloatOrder, DroppedErr, HotAlloc, SyncBeforeRename, GoroutineLife, AtomicMix}
+	return []*Analyzer{LockOrder, FloatOrder, DroppedErr, HotAlloc, GoroutineLife, AtomicMix}
 }
 
 // unparen strips any number of enclosing parentheses.
@@ -215,30 +213,4 @@ func namedOf(t types.Type) *types.Named {
 		return n
 	}
 	return nil
-}
-
-// isScanStatsPtr reports whether t is *ScanStats from a package named
-// "pager" (matched by name so testdata fixture modules exercise the same
-// rule as the real tree).
-func isScanStatsPtr(t types.Type) bool {
-	ptr, ok := types.Unalias(t).(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := types.Unalias(ptr.Elem()).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "ScanStats" && obj.Pkg() != nil && obj.Pkg().Name() == "pager"
-}
-
-// isNil reports whether e is the predeclared nil.
-func (p *Pass) isNil(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := p.Info.ObjectOf(id).(*types.Nil)
-	return isNil
 }

@@ -8,10 +8,13 @@ import (
 )
 
 // This file computes the whole-program lock facts shared by the
-// interprocedural analyzers. A branch-aware walker (the flow semantics
-// mirror lockorder's intra-procedural checker) records, per function:
+// interprocedural analyzers. One branch-aware walker records, per
+// function:
 //
 //   - every mutex acquisition with the locks already held there,
+//   - every lock still held, and not released by a defer, at a return
+//     or at the end of the body (each function literal is its own
+//     scope),
 //   - every call with the held set, the must-held set and how the call
 //     runs (normal, deferred, go),
 //   - every fsync-like call, blocking channel send and module-struct
@@ -140,6 +143,9 @@ type fnFacts struct {
 	// atomicFields are module struct fields whose address this function
 	// passes to a sync/atomic operation.
 	atomicFields map[*types.Var][]token.Pos
+	// leaks are acquisitions still held, with no deferred release, on
+	// some return path of the function or of one of its literals.
+	leaks []heldMu
 	// wgAdds are positions of sync.WaitGroup Add calls (goroutinelife
 	// requires one before a Done-joined spawn).
 	wgAdds []token.Pos
@@ -201,9 +207,12 @@ func buildLockFacts(mod *Module, cg *CallGraph) *modFacts {
 			info:  fi.Pkg.Info,
 			facts: &fnFacts{fi: fi, atomicFields: make(map[*types.Var][]token.Pos), entryTop: true},
 			fresh: make(map[types.Object]bool),
+			scope: fi.Decl.Body,
 		}
 		st := newFlowState()
-		w.scanStmts(fi.Decl.Body.List, st)
+		if !w.scanStmts(fi.Decl.Body.List, st) {
+			w.recordExit(st) // falling off the end is a return path too
+		}
 		mf.fns[fi.Fn] = w.facts
 	}
 	mf.propagateSummaries()
@@ -217,21 +226,33 @@ func buildLockFacts(mod *Module, cg *CallGraph) *modFacts {
 type flowState struct {
 	held []heldMu
 	must map[*types.Var]int
+	// deferred holds the mutex keys a registered defer releases at
+	// return. Joins union it over every branch, terminated ones
+	// included.
+	deferred map[string]bool
 }
 
 func newFlowState() *flowState {
-	return &flowState{must: make(map[*types.Var]int)}
+	return &flowState{must: make(map[*types.Var]int), deferred: make(map[string]bool)}
 }
 
 func (s *flowState) clone() *flowState {
 	c := &flowState{
-		held: append([]heldMu(nil), s.held...),
-		must: make(map[*types.Var]int, len(s.must)),
+		held:     append([]heldMu(nil), s.held...),
+		must:     copyMust(s.must),
+		deferred: make(map[string]bool, len(s.deferred)),
 	}
-	for k, v := range s.must {
-		c.must[k] = v
+	for k := range s.deferred {
+		c.deferred[k] = true
 	}
 	return c
+}
+
+// joinDeferred unions a branch's deferred releases in.
+func (s *flowState) joinDeferred(o *flowState) {
+	for k := range o.deferred {
+		s.deferred[k] = true
+	}
 }
 
 // mergeHeld unions another surviving path's held set in (a lock held on
@@ -285,6 +306,9 @@ type flowWalker struct {
 	info  *types.Info
 	facts *fnFacts
 	inGo  bool
+	// scope is the body whose return paths recordExit checks: the
+	// function's own, or the literal's being walked.
+	scope ast.Node
 	// fresh tracks locals assigned from &T{}, T{} composites or new(T):
 	// objects that are not yet published, so locking disciplines do not
 	// apply to them.
@@ -380,6 +404,7 @@ func (w *flowWalker) scanStmt(stmt ast.Stmt, st *flowState) bool {
 		for _, r := range s.Results {
 			w.scanExpr(r, st)
 		}
+		w.recordExit(st)
 		return true
 
 	case *ast.BlockStmt:
@@ -395,6 +420,7 @@ func (w *flowWalker) scanStmt(stmt ast.Stmt, st *flowState) bool {
 		w.scanExpr(s.Cond, st)
 		bodySt := st.clone()
 		bodyTerm := w.scanStmts(s.Body.List, bodySt)
+		st.joinDeferred(bodySt)
 		if s.Else == nil {
 			if !bodyTerm {
 				st.mergeHeld(bodySt)
@@ -404,6 +430,7 @@ func (w *flowWalker) scanStmt(stmt ast.Stmt, st *flowState) bool {
 		}
 		elseSt := st.clone()
 		elseTerm := w.scanStmt(s.Else, elseSt)
+		st.joinDeferred(elseSt)
 		switch {
 		case !bodyTerm && !elseTerm:
 			st.held = nil
@@ -431,6 +458,7 @@ func (w *flowWalker) scanStmt(stmt ast.Stmt, st *flowState) bool {
 			st.mergeHeld(bodySt)
 			st.must = intersectMust(st.must, bodySt.must)
 		}
+		st.joinDeferred(bodySt)
 		return false
 
 	case *ast.RangeStmt:
@@ -445,6 +473,7 @@ func (w *flowWalker) scanStmt(stmt ast.Stmt, st *flowState) bool {
 			st.mergeHeld(bodySt)
 			st.must = intersectMust(st.must, bodySt.must)
 		}
+		st.joinDeferred(bodySt)
 		return false
 
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
@@ -456,8 +485,7 @@ func (w *flowWalker) scanStmt(stmt ast.Stmt, st *flowState) bool {
 	return false
 }
 
-// scanClauses handles switch/type-switch/select uniformly, mirroring the
-// intra-procedural checker's join semantics.
+// scanClauses handles switch/type-switch/select uniformly.
 func (w *flowWalker) scanClauses(stmt ast.Stmt, st *flowState) bool {
 	var clauses []ast.Stmt
 	hasDefault := false
@@ -510,7 +538,9 @@ func (w *flowWalker) scanClauses(stmt ast.Stmt, st *flowState) bool {
 				w.scanSelectComm(c.Comm, cSt, hasDefault)
 			}
 		}
-		if w.scanStmts(body, cSt) {
+		terminated := w.scanStmts(body, cSt)
+		st.joinDeferred(cSt)
+		if terminated {
 			continue
 		}
 		allTerm = false
@@ -557,10 +587,23 @@ func (w *flowWalker) scanDefer(call *ast.CallExpr, st *flowState) {
 	for _, arg := range call.Args {
 		w.scanExpr(arg, st)
 	}
+	// Deferred unlocks, spelled directly or inside a deferred closure,
+	// release at return; held state is unchanged mid-body.
 	if op := w.asMuOp(call); op != nil {
-		return // deferred unlocks release at return; held state is unchanged mid-body
+		if !op.locks() {
+			st.deferred[op.key] = true
+		}
+		return
 	}
 	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if op := w.asMuOp(c); op != nil && !op.locks() {
+					st.deferred[op.key] = true
+				}
+			}
+			return true
+		})
 		w.walkLit(lit, st.clone(), w.inGo)
 		return
 	}
@@ -586,10 +629,25 @@ func (w *flowWalker) scanGo(call *ast.CallExpr, st *flowState) {
 
 // walkLit analyzes a function literal's body inline: events are recorded
 // against the enclosing function (tagged per inGo), state changes are
-// discarded (the literal may run later, or not at all).
+// discarded (the literal may run later, or not at all). The literal is
+// its own leak scope: only its own defers release, and only locks it
+// acquires can leak from it.
 func (w *flowWalker) walkLit(lit *ast.FuncLit, st *flowState, inGo bool) {
-	sub := &flowWalker{mf: w.mf, info: w.info, facts: w.facts, inGo: inGo, fresh: w.fresh}
-	sub.scanStmts(lit.Body.List, st)
+	sub := &flowWalker{mf: w.mf, info: w.info, facts: w.facts, inGo: inGo, fresh: w.fresh, scope: lit.Body}
+	st.deferred = make(map[string]bool)
+	if !sub.scanStmts(lit.Body.List, st) {
+		sub.recordExit(st)
+	}
+}
+
+// recordExit records the locks acquired in the current scope that are
+// still held, with no deferred release, where the scope returns.
+func (w *flowWalker) recordExit(st *flowState) {
+	for _, h := range st.held {
+		if !st.deferred[h.key] && w.scope.Pos() <= h.pos && h.pos < w.scope.End() {
+			w.facts.leaks = append(w.facts.leaks, h)
+		}
+	}
 }
 
 // scanExpr records calls, field accesses, atomic uses and channel
@@ -659,7 +717,7 @@ func (w *flowWalker) scanCall(call *ast.CallExpr, st *flowState, skip map[ast.No
 			}
 		}
 		// Lock/Unlock in expression position is not a statement-level
-		// acquisition; ignore it like the intra-procedural checker does.
+		// acquisition; only statement-level calls change the held set.
 		return
 	case "sync/atomic":
 		// atomic.AddUint64(&s.n, 1): s.n is atomically accessed; the
@@ -1140,6 +1198,36 @@ func sameMust(a, b map[*types.Var]int) bool {
 		}
 	}
 	return true
+}
+
+// isTerminalCall reports calls that never return: panic and os.Exit-like
+// fatals. Used to avoid leak reports on paths that abort the process.
+func isTerminalCall(info *types.Info, call *ast.CallExpr) bool {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if _, ok := info.Uses[fun].(*types.Builtin); ok && fun.Name == "panic" {
+			return true
+		}
+		// Locally defined fatalf helpers (the cmds' idiom).
+		if fun.Name == "fatalf" || fun.Name == "fatal" {
+			return true
+		}
+	case *ast.SelectorExpr:
+		fn, ok := info.Uses[fun.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil {
+			return false
+		}
+		switch fn.Pkg().Path() {
+		case "os":
+			return fn.Name() == "Exit"
+		case "log":
+			switch fn.Name() {
+			case "Fatal", "Fatalf", "Fatalln", "Panic", "Panicf", "Panicln":
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // typeOfExpr is Pass.typeOf without the Pass.

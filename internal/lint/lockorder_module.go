@@ -9,12 +9,15 @@ import (
 	"strings"
 )
 
-// runLockOrderModule is lockorder's interprocedural half, running once
-// per module on the shared lock graph. It reports:
+// runLockOrderModule is lockorder's pass, running once per module on
+// the shared lock graph. It reports:
 //
+//   - re-acquires and RLock→Lock upgrades, from the held set recorded
+//     at each acquisition;
+//   - locks a return path leaves held without a deferred release;
 //   - hierarchy violations, both where an acquisition is spelled out
-//     (reproducing the intra-procedural diagnostic) and at calls that
-//     transitively reach one, with the acquisition chain;
+//     and at calls that transitively reach one, with the acquisition
+//     chain;
 //   - ranked locks held across fsync, directly or through callees;
 //   - classed locks held across blocking channel sends, ditto;
 //   - lock-order cycles among lock classes (one report per strongly
@@ -37,6 +40,7 @@ type lockEdge struct {
 func runLockOrderModule(mp *ModulePass) {
 	mf := mp.Facts
 
+	leaked := make(map[token.Pos]bool)
 	edges := make(map[lockEdgeKey]*lockEdge)
 	addEdge := func(k lockEdgeKey, e *lockEdge) {
 		if cur, ok := edges[k]; ok {
@@ -49,11 +53,20 @@ func runLockOrderModule(mp *ModulePass) {
 	for _, fi := range mp.Graph.Order {
 		f := mf.fns[fi.Fn]
 
-		// Local acquisitions: hierarchy check (the pre-interprocedural
-		// diagnostic, verbatim) and cycle edges.
+		// Local acquisitions: re-acquires, hierarchy check and cycle
+		// edges.
 		for i := range f.acquires {
 			acq := &f.acquires[i]
 			for _, h := range acq.held {
+				if h.key == acq.op.key {
+					if h.rlock && acq.op.name == "Lock" {
+						mp.Reportf(acq.op.pos,
+							"read-to-write upgrade: %s.Lock() while %s.RLock() is held self-deadlocks", h.key, h.key)
+					} else {
+						mp.Reportf(acq.op.pos, "%s.%s() while %s is already held (acquired at %s) self-deadlocks",
+							h.key, acq.op.name, h.key, mf.shortPos(h.pos))
+					}
+				}
 				hier := h.level >= 0 && acq.op.level >= 0 && acq.op.level <= h.level && h.key != acq.op.key
 				if hier {
 					mp.Reportf(acq.op.pos,
@@ -65,6 +78,20 @@ func runLockOrderModule(mp *ModulePass) {
 						&lockEdge{fn: fi.Fn, pos: acq.op.pos, fromPos: h.pos, hier: hier})
 				}
 			}
+		}
+
+		// Locks a return path leaves held, once per acquisition site.
+		for _, h := range f.leaks {
+			if leaked[h.pos] {
+				continue
+			}
+			leaked[h.pos] = true
+			name, release := "Lock", "Unlock"
+			if h.rlock {
+				name, release = "RLock", "RUnlock"
+			}
+			mp.Reportf(h.pos, "%s.%s() is not released on every return path (missing %s.%s() or defer)",
+				h.key, name, h.key, release)
 		}
 
 		// Direct fsyncs under a ranked engine lock.

@@ -10,7 +10,7 @@ import (
 	"fixture/pager"
 )
 
-// Catalog pairs a mutex with the ordered-fold and tracked-read idioms.
+// Catalog pairs a mutex with the ordered-fold idiom.
 type Catalog struct {
 	mu     sync.RWMutex
 	pg     pager.Pager
@@ -31,20 +31,6 @@ func (c *Catalog) Total() float64 {
 		total += c.scores[k]
 	}
 	return total
-}
-
-// Load reads pages through the attributed reader and handles every
-// error.
-func (c *Catalog) Load(n int, st *pager.ScanStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var p pager.Page
-	for i := 0; i < n; i++ {
-		if err := pager.ReadTracked(c.pg, pager.PageID(i), &p, st); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close releases the store, propagating its error.

@@ -40,6 +40,20 @@ func DropMethod(pg pager.Pager) {
 	pg.Close() // want "pager.Pager.Close returns an error that is discarded"
 }
 
+// tree stands in for a module type whose mutator reports failure.
+type tree struct{ pg pager.Pager }
+
+func (t *tree) insert(key int) error { return nil }
+
+// index reaches the mutator through a field, as the real Index reaches
+// its B+-tree.
+type index struct{ t *tree }
+
+// DropFieldMethod drops a concrete mutator's error behind a field.
+func (ix *index) DropFieldMethod() {
+	ix.t.insert(1) // want "dropped.tree.insert returns an error that is discarded"
+}
+
 // DeferExempt may drop the error: there is nowhere to return it.
 func DeferExempt(pg pager.Pager) error {
 	defer pg.Close()

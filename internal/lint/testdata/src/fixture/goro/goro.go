@@ -20,6 +20,17 @@ func MissingAdd(wg *sync.WaitGroup) {
 	}()
 }
 
+// PerQuery launches one goroutine per query index: ranging over a count
+// is as unbounded as ranging over a slice.
+func PerQuery(n int, wg *sync.WaitGroup) {
+	for range n {
+		wg.Add(1)
+		go func() { // want "unbounded goroutine spawn"
+			defer wg.Done()
+		}()
+	}
+}
+
 // Unbounded launches one goroutine per element with no semaphore.
 func Unbounded(items []int, wg *sync.WaitGroup) {
 	for range items {

@@ -29,6 +29,26 @@ func Spread(points []vec.Vector) []vec.Vector {
 	return out
 }
 
+// Dispersion measures every point through an allocated difference vector:
+// an allocating helper nested as an argument is still an allocation per
+// iteration.
+func Dispersion(points []vec.Vector, c vec.Vector) float64 {
+	var s float64
+	for _, p := range points {
+		d := vec.Sub(p, c) // want "vec.Sub allocates on every iteration"
+		s += d[0] * d[0]
+	}
+	return s
+}
+
+// Seat stores a clone of every point, the helper spelled as a call
+// argument.
+func Seat(rows [][]float64, points []vec.Vector) {
+	for i, p := range points {
+		copy(rows[i], vec.Clone(p)) // want "vec.Clone allocates on every iteration"
+	}
+}
+
 // Delta uses Sub once per call, outside any loop: not flagged.
 func Delta(a, b vec.Vector) vec.Vector {
 	return vec.Sub(a, b)

@@ -4,6 +4,7 @@
 package lockio
 
 import (
+	"errors"
 	"sync"
 
 	"fixture/vfs"
@@ -52,6 +53,26 @@ func (e *engine) SendViaHelper(ch chan int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	push(ch) // want "lock e.mu is held across a call that can block on a channel send"
+}
+
+// each runs fn once per item, as a fan-out helper would.
+func each(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+// SyncInClosure reaches the fsync from a function literal that runs while
+// the lock is held: the shape of a group commit fanned out before the
+// lock is released.
+func (e *engine) SyncInClosure(fs []vfs.File) error {
+	errs := make([]error, len(fs))
+	e.mu.Lock()
+	each(len(fs), func(i int) {
+		errs[i] = flush(fs[i]) // want "engine lock e.mu is held across a call that can fsync (lockio.engine.SyncInClosure → lockio.flush"
+	})
+	e.mu.Unlock()
+	return errors.Join(errs...)
 }
 
 // TrySend never blocks — the default case makes the send conditional:

@@ -1,7 +1,7 @@
 // Package pager is the fixture counterpart of the real pager package:
-// just enough surface for the trackedio and lockorder fixtures. The
-// analyzers match it by package and type names, exactly as they match
-// the real one.
+// just enough surface for the lockorder, droppederr and clean fixtures.
+// The analyzers match it by package and type names, exactly as they
+// match the real one.
 package pager
 
 import "sync"

@@ -1,6 +1,6 @@
 // Package vfs mirrors the real module's filesystem seam just enough for
-// the syncbeforerename fixture: the analyzer matches Sync and Rename by
-// package name, so this stand-in exercises the same rule.
+// the lockio fixture: lockorder matches Sync by package name, so this
+// stand-in exercises the same rule.
 package vfs
 
 // File is one open file.

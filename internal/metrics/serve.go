@@ -157,7 +157,7 @@ func (s *HistogramSnapshot) Quantile(p float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := p * float64(s.Count)
+	rank := float64(p * float64(s.Count))
 	var seen float64
 	for i, c := range s.Counts {
 		if c == 0 {

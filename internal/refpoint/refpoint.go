@@ -149,7 +149,7 @@ func Fit(cfg Config, m *linalg.Moments, points []vec.Vector) (*Transform, error)
 			length = 1
 		}
 		mean := m.Mean()
-		shift := (seg.Hi - vec.Dot(mean, pc)) + off*length
+		shift := (seg.Hi - vec.Dot(mean, pc)) + float64(off*length)
 		ref := vec.Add(mean, vec.Scale(pc, shift))
 		return &Transform{kind: cfg.Kind, ref: ref, firstPC: pc, segment: seg}, nil
 	}
@@ -173,22 +173,3 @@ func (t *Transform) Key(p vec.Vector) float64 {
 // FirstPC returns the first principal component captured at construction,
 // or nil for non-Optimal transforms.
 func (t *Transform) FirstPC() vec.Vector { return t.firstPC }
-
-// DriftAngle returns the angle (radians) between the Φ1 captured at build
-// time and the first principal component of the given current points. For
-// non-Optimal transforms it returns 0: their reference does not depend on
-// data correlation, so there is nothing to drift.
-func (t *Transform) DriftAngle(points []vec.Vector) float64 {
-	if t.firstPC == nil || len(points) == 0 {
-		return 0
-	}
-	m := linalg.NewMoments(len(points[0]))
-	for _, p := range points {
-		m.Add(p)
-	}
-	cur := m.FirstPC()
-	if cur == nil {
-		return 0
-	}
-	return linalg.AngleBetween(t.firstPC, cur)
-}

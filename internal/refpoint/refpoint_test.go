@@ -165,37 +165,6 @@ func TestOptimalDegenerateData(t *testing.T) {
 	}
 }
 
-func TestDriftAngle(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	pts := randomCloud(r, 400, 6, 1.0) // dominant along axis 0
-	tr, err := New(Config{Kind: Optimal}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same distribution: negligible drift.
-	if a := tr.DriftAngle(randomCloud(r, 400, 6, 1.0)); a > 0.15 {
-		t.Fatalf("same-distribution drift angle %v too large", a)
-	}
-	// Rotated distribution (dominant along axis 1): large drift.
-	rot := make([]vec.Vector, 400)
-	for i := range rot {
-		p := make(vec.Vector, 6)
-		for j := range p {
-			p[j] = r.NormFloat64() * 0.05
-		}
-		p[1] += r.NormFloat64() * 1.0
-		rot[i] = p
-	}
-	if a := tr.DriftAngle(rot); a < math.Pi/4 {
-		t.Fatalf("rotated drift angle %v too small", a)
-	}
-	// Non-optimal transforms never drift.
-	dc, _ := New(Config{Kind: DataCenter}, pts)
-	if a := dc.DriftAngle(rot); a != 0 {
-		t.Fatalf("data-center drift = %v", a)
-	}
-}
-
 func TestKeyIsDistanceToRef(t *testing.T) {
 	pts := []vec.Vector{{0, 0}, {1, 0}, {0, 1}}
 	tr, err := New(Config{Kind: DataCenter}, pts)

@@ -83,7 +83,6 @@ func WriteFileAtomicGated(fsys vfs.FS, path string, gate SyncGate, write func(io
 	if err = f.Close(); err != nil {
 		return err
 	}
-	//lint:ignore syncbeforerename the temp file is fsynced above via gate(f.Sync); the analyzer cannot see the Sync through the gate's method-value indirection
 	if err = gate(func() error { return fsys.Rename(tmp, path) }); err != nil {
 		return err
 	}

@@ -178,7 +178,7 @@ func Rerank(query *Signature, candidates []Scored, sigs map[int]*Signature, w fl
 			continue
 		}
 		t := Similarity(query, sig)
-		out[i].Score = (1-w)*out[i].Score + w*t
+		out[i].Score = float64((1-w)*out[i].Score) + float64(w*t)
 		out[i].Temporal = t
 	}
 	sortScored(out)

@@ -35,7 +35,9 @@ func Dist(a, b Vector) float64 {
 // b[:len(a)] reslice proves every b index in range), but keeps a single
 // accumulator updated strictly left to right, so the result is
 // bit-identical to the naive sequential fold — summaries must not change
-// with the kernel.
+// with the kernel. Each product is written float64(x*y): the conversion
+// rounds it, so no architecture fuses it into the sum (fma_test.go), the
+// convention for every product that feeds a sum in this module.
 func Dist2(a, b Vector) float64 {
 	checkLen(a, b)
 	if len(a) == 0 {
@@ -49,14 +51,14 @@ func Dist2(a, b Vector) float64 {
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s += d0 * d0
-		s += d1 * d1
-		s += d2 * d2
-		s += d3 * d3
+		s += float64(d0 * d0)
+		s += float64(d1 * d1)
+		s += float64(d2 * d2)
+		s += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -85,7 +87,7 @@ func Dot(a, b Vector) float64 {
 	checkLen(a, b)
 	var s float64
 	for i, av := range a {
-		s += av * b[i]
+		s += float64(av * b[i])
 	}
 	return s
 }
@@ -150,7 +152,7 @@ func ScaleInPlace(dst Vector, s float64) {
 func AXPY(dst Vector, alpha float64, x Vector) {
 	checkLen(dst, x)
 	for i := range dst {
-		dst[i] += alpha * x[i]
+		dst[i] += float64(alpha * x[i])
 	}
 }
 

@@ -408,7 +408,7 @@ func (db *DB) Stats() (IndexStats, error) {
 		// formed first so that a lone shard's fill survives bit-for-bit:
 		// w/W is exactly 1 there, where Σ(fill·leaves)/Σleaves would round.
 		agg.LeafNodes += st.LeafNodes
-		agg.LeafFill += (st.LeafFill - agg.LeafFill) * (float64(st.LeafNodes) / float64(agg.LeafNodes))
+		agg.LeafFill += float64((st.LeafFill - agg.LeafFill) * (float64(st.LeafNodes) / float64(agg.LeafNodes)))
 	}
 	return agg, nil
 }
