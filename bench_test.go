@@ -235,41 +235,6 @@ func BenchmarkAblationCapVolume(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPageCache measures the effect of an LRU buffer pool on
-// physical reads for repeated queries.
-func BenchmarkAblationPageCache(b *testing.B) {
-	sums, err := dataset.GenerateSummaries(dataset.DefaultSummaryConfig(8000, 3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	q := dataset.QuerySummary(&sums[rng.Intn(len(sums))], 20_000_000, 0.01, rng)
-	for _, cached := range []bool{false, true} {
-		name := "uncached"
-		if cached {
-			name = "lru-4096"
-		}
-		b.Run(name, func(b *testing.B) {
-			newPager := func() pager.Pager { return pager.NewMem() }
-			if cached {
-				newPager = func() pager.Pager { return pager.NewCache(pager.NewMem(), 4096) }
-			}
-			ix, err := index.Build(sums, index.Options{Epsilon: 0.3, NewPager: newPager})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ix.ResetPagerStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.Search(&q, 50, index.Composed); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(ix.PagerStats().Reads)/float64(b.N), "physreads/query")
-		})
-	}
-}
-
 // --- microbenchmarks on the core paths -----------------------------------
 
 func BenchmarkSummarize(b *testing.B) {
@@ -335,7 +300,7 @@ func BenchmarkBTreeRangeScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := tr.RangeScan(0.4, 0.41, func(float64, []byte) bool { n++; return true }); err != nil {
+		if err := tr.RangeScanStats(0.4, 0.41, nil, func(float64, []byte) bool { n++; return true }); err != nil {
 			b.Fatal(err)
 		}
 	}

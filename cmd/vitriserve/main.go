@@ -52,7 +52,6 @@ import (
 
 	"vitri"
 	"vitri/internal/dataset"
-	"vitri/internal/pager"
 	"vitri/internal/server"
 )
 
@@ -63,7 +62,6 @@ func main() {
 		dbPath      = flag.String("db", "", "summary store written by vitri Save (loads without re-summarizing)")
 		epsilon     = flag.Float64("epsilon", 0.3, "frame similarity threshold (ignored with -db: the store fixes it)")
 		seed        = flag.Int64("seed", 1, "summarization seed")
-		cachePages  = flag.Int("cache", 1024, "LRU page-cache capacity in 4 KiB pages (0 = uncached)")
 		k           = flag.Int("k", 10, "default result count per query")
 		maxInflight = flag.Int("max-inflight", 64, "admission limit for /search, /insert and /remove")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
@@ -89,16 +87,10 @@ func main() {
 		fatalf("-shards 0 (adopt from store) needs -journal")
 	}
 
-	newPager := func() pager.Pager { return pager.NewMem() }
-	var cacheStats func() (uint64, uint64, float64)
-	if *cachePages > 0 {
-		newPager, cacheStats = server.CachedPager(newPager, *cachePages)
-	}
 	opts := vitri.Options{
-		Epsilon:  *epsilon,
-		Seed:     *seed,
-		NewPager: newPager,
-		Shards:   *shards,
+		Epsilon: *epsilon,
+		Seed:    *seed,
+		Shards:  *shards,
 	}
 
 	db, err := loadDB(*corpusPath, *dbPath, *journalDir, opts)
@@ -115,7 +107,6 @@ func main() {
 		DefaultK:           *k,
 		MaxInFlight:        *maxInflight,
 		RequestTimeout:     *timeout,
-		CacheStats:         cacheStats,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointCooldown: *ckptCool,
 	})

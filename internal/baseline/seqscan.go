@@ -117,12 +117,6 @@ func (s *SeqStore) Len() int { return s.nrec }
 // Pages returns the number of data pages the store occupies.
 func (s *SeqStore) Pages() int { return s.pg.NumPages() }
 
-// PagerStats exposes the physical I/O counters.
-func (s *SeqStore) PagerStats() pager.Stats { return s.pg.Stats() }
-
-// ResetPagerStats zeroes the I/O counters.
-func (s *SeqStore) ResetPagerStats() { s.pg.ResetStats() }
-
 // Search scans every record, scoring videos identically to the indexed
 // search (per-cluster-capped shared-frame estimates normalized by frame
 // counts), and returns the top k.

@@ -3,7 +3,7 @@ package btree
 import (
 	"errors"
 	"fmt"
-
+	"math"
 	"sync"
 
 	"vitri/internal/pager"
@@ -31,71 +31,20 @@ func Create(pg pager.Pager, valSize int) (*Tree, error) {
 	if pg.NumPages() != 0 {
 		return nil, errors.New("btree: Create requires an empty pager")
 	}
-	metaID, err := pg.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	if metaID != 0 {
-		return nil, errors.New("btree: meta page must be page 0")
-	}
 	t := &Tree{pg: pg, valSize: valSize, height: 1}
 	rootID, err := t.allocNode(nodeLeaf)
 	if err != nil {
 		return nil, err
 	}
 	t.root = rootID
-	if err := t.writeMeta(); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
-
-// Open loads an existing tree from pg (e.g. a reopened file pager).
-func Open(pg pager.Pager) (*Tree, error) {
-	if pg.NumPages() == 0 {
-		return nil, errors.New("btree: Open on empty pager (use Create)")
-	}
-	var p pager.Page
-	if err := pg.Read(0, &p); err != nil {
-		return nil, err
-	}
-	m, err := decodeMeta(&p)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{pg: pg, valSize: m.valSize, root: m.root, height: m.height, count: m.count}, nil
-}
-
-// ValSize returns the fixed value size in bytes.
-func (t *Tree) ValSize() int { return t.valSize }
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.count
-}
-
-// Height returns the tree height (1 = the root is a leaf).
-func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.height
-}
-
-// Sync persists the metadata page (and, for file pagers, is the point at
-// which callers should also call the pager's own Sync).
-func (t *Tree) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.writeMeta()
-}
-
-// writeMeta persists root/height/count to page 0. Caller holds mu.
-func (t *Tree) writeMeta() error {
-	var p pager.Page
-	encodeMeta(meta{root: t.root, valSize: t.valSize, height: t.height, count: t.count}, &p)
-	return t.pg.Write(0, &p)
 }
 
 // allocNode allocates and seals an empty node of the given type.
@@ -118,12 +67,15 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	return t.readNodeTracked(id, nil)
 }
 
-// readNodeTracked fetches and verifies a node page, attributing the
-// physical read to st (which may be nil).
+// readNodeTracked fetches and verifies a node page, counting the page
+// read in st (which may be nil).
 func (t *Tree) readNodeTracked(id pager.PageID, st *pager.ScanStats) (*node, error) {
 	n := &node{id: id}
-	if err := pager.ReadTracked(t.pg, id, &n.page, st); err != nil {
+	if err := t.pg.Read(id, &n.page); err != nil {
 		return nil, err
+	}
+	if st != nil {
+		st.Reads++
 	}
 	if err := n.verify(); err != nil {
 		return nil, err
@@ -301,18 +253,14 @@ func (t *Tree) descendToLeaf(key float64, st *pager.ScanStats) (*node, error) {
 	}
 }
 
-// RangeScan visits every entry with lo <= key <= hi in key order, calling
-// fn for each. The val slice aliases an internal buffer and is only valid
-// during the call. fn returning false stops the scan early.
-func (t *Tree) RangeScan(lo, hi float64, fn func(key float64, val []byte) bool) error {
-	return t.RangeScanStats(lo, hi, nil, fn)
-}
-
-// RangeScanStats is RangeScan with per-scan I/O attribution: every
-// physical page read this scan performs — the root-to-leaf descent and
-// the leaf sibling chain — is added to st (which may be nil). Because st
-// is owned by the caller rather than shared pager-wide, the count is
-// exact even with any number of concurrent scans in flight.
+// RangeScanStats visits every entry with lo <= key <= hi in key order,
+// calling fn for each. The val slice aliases an internal buffer and is
+// only valid during the call. fn returning false stops the scan early.
+//
+// Every page read this scan performs — the root-to-leaf descent and the
+// leaf sibling chain — is added to st (which may be nil). Because st is
+// owned by the caller rather than shared pager-wide, the count is exact
+// even with any number of concurrent scans in flight.
 func (t *Tree) RangeScanStats(lo, hi float64, st *pager.ScanStats, fn func(key float64, val []byte) bool) error {
 	if lo > hi {
 		return nil
@@ -424,6 +372,141 @@ func (t *Tree) Delete(key float64, match func(val []byte) bool) (bool, error) {
 		}
 		if n.count() == 0 || n.leafKey(0, t.valSize) != key {
 			return false, nil
+		}
+	}
+}
+
+// TreeStats describes the tree's physical shape.
+type TreeStats struct {
+	Height        int
+	InternalNodes int
+	LeafNodes     int
+	Entries       int64
+	// LeafFill is the average leaf occupancy in [0, 1].
+	LeafFill float64
+}
+
+// Stats walks the tree and returns its shape.
+func (t *Tree) Stats() (TreeStats, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	st := TreeStats{Height: t.height, Entries: t.count}
+	cap := leafCapacity(t.valSize)
+	var walk func(id pager.PageID) error
+	walk = func(id pager.PageID) error {
+		n, err := t.readNode(id)
+		if err != nil {
+			return err
+		}
+		if n.isLeaf() {
+			st.LeafNodes++
+			st.LeafFill += float64(n.count()) / float64(cap)
+			return nil
+		}
+		st.InternalNodes++
+		if err := walk(n.link()); err != nil {
+			return err
+		}
+		for i := 0; i < n.count(); i++ {
+			if err := walk(n.internalChild(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root); err != nil {
+		return TreeStats{}, err
+	}
+	if st.LeafNodes > 0 {
+		st.LeafFill /= float64(st.LeafNodes)
+	}
+	return st, nil
+}
+
+// Check verifies the tree's structural invariants: per-node key ordering,
+// separator consistency (every key under a child lies within its
+// separator bounds), the leaf sibling chain visiting every leaf in order,
+// and the entry count. It returns the first violation found.
+func (t *Tree) Check() error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var leaves []pager.PageID
+	var total int64
+	var walk func(id pager.PageID, lo, hi float64) error
+	walk = func(id pager.PageID, lo, hi float64) error {
+		n, err := t.readNode(id)
+		if err != nil {
+			return err
+		}
+		if n.isLeaf() {
+			for i := 0; i < n.count(); i++ {
+				k := n.leafKey(i, t.valSize)
+				if k < lo || k > hi {
+					return fmt.Errorf("btree: leaf %d key %v outside [%v, %v]", id, k, lo, hi)
+				}
+				if i > 0 && k < n.leafKey(i-1, t.valSize) {
+					return fmt.Errorf("btree: leaf %d keys out of order at %d", id, i)
+				}
+			}
+			leaves = append(leaves, id)
+			total += int64(n.count())
+			return nil
+		}
+		prev := lo
+		for i := 0; i < n.count(); i++ {
+			k := n.internalKey(i)
+			if k < prev {
+				return fmt.Errorf("btree: internal %d separators out of order at %d", id, i)
+			}
+			prev = k
+		}
+		// Child i covers [sep[i-1], sep[i]] (inclusive both sides:
+		// duplicates may sit on either side of an equal separator).
+		bound := func(i int) (float64, float64) {
+			l, h := lo, hi
+			if i > 0 {
+				l = n.internalKey(i - 1)
+			}
+			if i < n.count() {
+				h = n.internalKey(i)
+			}
+			return l, h
+		}
+		for i := 0; i <= n.count(); i++ {
+			l, h := bound(i)
+			if err := walk(n.childAt(i), l, h); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, math.Inf(-1), math.Inf(1)); err != nil {
+		return err
+	}
+	if total != t.count {
+		return fmt.Errorf("btree: %d entries found, metadata says %d", total, t.count)
+	}
+	// The sibling chain must visit exactly the leaves, in the same order.
+	n, err := t.leftmostLeaf(nil)
+	if err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		if i >= len(leaves) {
+			return fmt.Errorf("btree: sibling chain longer than tree (%d leaves)", len(leaves))
+		}
+		if n.id != leaves[i] {
+			return fmt.Errorf("btree: sibling chain visits %d, tree order expects %d", n.id, leaves[i])
+		}
+		next := n.link()
+		if next == pager.InvalidPage {
+			if i != len(leaves)-1 {
+				return fmt.Errorf("btree: sibling chain ends after %d of %d leaves", i+1, len(leaves))
+			}
+			return nil
+		}
+		if n, err = t.readNode(next); err != nil {
+			return err
 		}
 	}
 }

@@ -127,8 +127,5 @@ func BulkLoad(pg pager.Pager, valSize int, entries []Entry, fillFactor float64) 
 	t.root = level[0].id
 	t.height = height
 	t.count = int64(len(entries))
-	if err := t.writeMeta(); err != nil {
-		return nil, err
-	}
 	return t, nil
 }

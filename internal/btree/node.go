@@ -10,8 +10,9 @@
 // reachable under that child. Duplicate keys are allowed and preserved in
 // insertion order within a key run.
 //
-// Page 0 is a metadata page recording the root, value size, height and
-// entry count, so file-backed trees can be reopened.
+// The tree is derived state: the index builds it from video summaries and
+// never reopens it, so every page is a node and the root, height and
+// entry count live only in the Tree value.
 package btree
 
 import (
@@ -37,8 +38,6 @@ const (
 	// bytes 12..16 reserved
 
 	internalEntrySize = 8 + 4 // key + child page id
-
-	metaMagic = "VITRIBT1"
 )
 
 // ErrCorrupt reports a checksum mismatch on a node page.
@@ -46,12 +45,10 @@ var ErrCorrupt = errors.New("btree: page checksum mismatch")
 
 // node is the in-memory view of one page.
 type node struct {
-	id    pager.PageID
-	page  pager.Page
-	dirty bool
+	id   pager.PageID
+	page pager.Page
 }
 
-func (n *node) typ() byte      { return n.page[offType] }
 func (n *node) isLeaf() bool   { return n.page[offType] == nodeLeaf }
 func (n *node) count() int     { return int(binary.LittleEndian.Uint16(n.page[offCount:])) }
 func (n *node) setCount(c int) { binary.LittleEndian.PutUint16(n.page[offCount:], uint16(c)) }
@@ -228,42 +225,4 @@ func (n *node) childAt(i int) pager.PageID {
 		return n.link()
 	}
 	return n.internalChild(i - 1)
-}
-
-// --- metadata page ------------------------------------------------------
-
-type meta struct {
-	root    pager.PageID
-	valSize int
-	height  int
-	count   int64
-}
-
-func encodeMeta(m meta, p *pager.Page) {
-	for i := range p {
-		p[i] = 0
-	}
-	copy(p[:8], metaMagic)
-	binary.LittleEndian.PutUint32(p[8:], uint32(m.root))
-	binary.LittleEndian.PutUint32(p[12:], uint32(m.valSize))
-	binary.LittleEndian.PutUint32(p[16:], uint32(m.height))
-	binary.LittleEndian.PutUint64(p[20:], uint64(m.count))
-	sum := crc32.ChecksumIEEE(p[:28])
-	binary.LittleEndian.PutUint32(p[28:], sum)
-}
-
-func decodeMeta(p *pager.Page) (meta, error) {
-	if string(p[:8]) != metaMagic {
-		return meta{}, errors.New("btree: bad meta magic")
-	}
-	sum := crc32.ChecksumIEEE(p[:28])
-	if binary.LittleEndian.Uint32(p[28:]) != sum {
-		return meta{}, fmt.Errorf("%w: meta page", ErrCorrupt)
-	}
-	return meta{
-		root:    pager.PageID(binary.LittleEndian.Uint32(p[8:])),
-		valSize: int(binary.LittleEndian.Uint32(p[12:])),
-		height:  int(binary.LittleEndian.Uint32(p[16:])),
-		count:   int64(binary.LittleEndian.Uint64(p[20:])),
-	}, nil
 }

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -23,37 +24,72 @@ func buildTrackedTree(t *testing.T, pg pager.Pager, n int) *Tree {
 }
 
 // TestRangeScanStatsMatchesPagerDiff: when a scan runs alone, the
-// per-scan counter must equal the pager's own physical-read delta —
-// the attribution changes ownership of the count, not its meaning.
+// per-scan counter must equal the pager's own read delta — the
+// attribution changes ownership of the count, not its meaning — over
+// every page store the tree runs on.
 func TestRangeScanStatsMatchesPagerDiff(t *testing.T) {
-	pg := pager.NewMem()
-	tr := buildTrackedTree(t, pg, 5000)
-	for _, rng := range [][2]float64{{0, 4999}, {100, 250}, {4000, 4000}, {6000, 7000}} {
-		before := pg.Stats().Reads
-		var st pager.ScanStats
-		visited := 0
-		if err := tr.RangeScanStats(rng[0], rng[1], &st, func(float64, []byte) bool {
-			visited++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		diff := pg.Stats().Reads - before
-		if st.Reads != diff {
-			t.Fatalf("range [%v,%v]: tracked %d reads, pager diff %d", rng[0], rng[1], st.Reads, diff)
-		}
-		if visited > 0 && st.Reads == 0 {
-			t.Fatalf("range [%v,%v]: visited %d entries with zero tracked reads", rng[0], rng[1], visited)
-		}
+	pagers := map[string]func(t *testing.T) pager.Pager{
+		"mem": func(t *testing.T) pager.Pager { return pager.NewMem() },
+		"file": func(t *testing.T) pager.Pager {
+			fp, err := pager.OpenFile(filepath.Join(t.TempDir(), "pages.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fp
+		},
+		"faulty": func(t *testing.T) pager.Pager { return pager.NewFaulty(pager.NewMem(), 1) },
 	}
-	// Full scan attribution, same contract.
-	before := pg.Stats().Reads
-	var st pager.ScanStats
-	if err := tr.ScanStats(&st, func(float64, []byte) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if diff := pg.Stats().Reads - before; st.Reads != diff {
-		t.Fatalf("scan: tracked %d reads, pager diff %d", st.Reads, diff)
+	for name, mk := range pagers {
+		t.Run(name, func(t *testing.T) {
+			pg := mk(t)
+			defer pg.Close()
+			tr := buildTrackedTree(t, pg, 5000)
+			for _, rng := range [][2]float64{{0, 4999}, {100, 250}, {4000, 4000}, {6000, 7000}} {
+				before := pg.Stats().Reads
+				var st pager.ScanStats
+				visited := 0
+				if err := tr.RangeScanStats(rng[0], rng[1], &st, func(float64, []byte) bool {
+					visited++
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				diff := pg.Stats().Reads - before
+				if st.Reads != diff {
+					t.Fatalf("range [%v,%v]: tracked %d reads, pager diff %d", rng[0], rng[1], st.Reads, diff)
+				}
+				if visited > 0 && st.Reads == 0 {
+					t.Fatalf("range [%v,%v]: visited %d entries with zero tracked reads", rng[0], rng[1], visited)
+				}
+			}
+			// Full scan attribution, same contract; it reads the leftmost
+			// descent and every leaf exactly once.
+			shape, err := tr.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := pg.Stats().Reads
+			var st pager.ScanStats
+			entries := 0
+			if err := tr.ScanStats(&st, func(k float64, v []byte) bool {
+				if decodeVal8(v) != uint64(k) {
+					t.Fatalf("entry %v holds %d", k, decodeVal8(v))
+				}
+				entries++
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if diff := pg.Stats().Reads - before; st.Reads != diff {
+				t.Fatalf("scan: tracked %d reads, pager diff %d", st.Reads, diff)
+			}
+			if want := uint64(shape.Height - 1 + shape.LeafNodes); st.Reads != want {
+				t.Fatalf("scan: tracked %d reads, want %d (height %d, %d leaves)", st.Reads, want, shape.Height, shape.LeafNodes)
+			}
+			if entries != 5000 {
+				t.Fatalf("scan visited %d entries, want 5000", entries)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -195,5 +199,46 @@ func TestRunAllProducesAllTables(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}
+	}
+}
+
+// -update rewrites testdata/fig16-17-counts.golden from the current tree.
+var update = flag.Bool("update", false, "rewrite the Figure 16-17 count golden")
+
+// TestFigure16And17CountsGolden pins every page-access and
+// similarity-count column of Figures 16 and 17 at tinyConfig: the whole
+// Figure 16 table and Figure 17's I/O and CPU tables (the wall-time table
+// is left out). Per-query PageReads counts one read per B+-tree node
+// visited and SeqStore's one per data page, so any change to page layout
+// or accounting beneath the index shows up here as a diff.
+func TestFigure16And17CountsGolden(t *testing.T) {
+	cfg := tinyConfig()
+	fig16, err := Figure16(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig17, err := Figure17(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, tb := range []*metrics.Table{fig16[0], fig17[0], fig17[1]} {
+		if err := tb.Fprint(&got); err != nil {
+			t.Fatal(err)
+		}
+		got.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "fig16-17-counts.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Figure 16-17 counts differ from %s\ngot:\n%s\nwant:\n%s", path, got.Bytes(), want)
 	}
 }

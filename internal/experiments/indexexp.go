@@ -51,7 +51,6 @@ type costRow struct {
 func (cfg *Config) measureIndex(ix *index.Index, queries []core.Summary, mode index.Mode) (costRow, error) {
 	var row costRow
 	for qi := range queries {
-		ix.ResetPagerStats()
 		var stats index.SearchStats
 		us, err := timeIt(func() error {
 			var e error
@@ -76,7 +75,6 @@ func (cfg *Config) measureIndex(ix *index.Index, queries []core.Summary, mode in
 func (cfg *Config) measureSeq(store *baseline.SeqStore, queries []core.Summary) (costRow, error) {
 	var row costRow
 	for qi := range queries {
-		store.ResetPagerStats()
 		var stats index.SearchStats
 		us, err := timeIt(func() error {
 			var e error

@@ -288,13 +288,6 @@ func (ix *Index) PagerStats() pager.Stats {
 	return ix.pg.Stats()
 }
 
-// ResetPagerStats zeroes the I/O counters (between measured runs).
-func (ix *Index) ResetPagerStats() {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.pg.ResetStats()
-}
-
 // Close releases the index's page store. Subsequent tree operations fail
 // with pager.ErrClosed; the store's Close is idempotent, so Close may be
 // called more than once.

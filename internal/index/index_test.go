@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -642,6 +643,71 @@ func TestInsertFailureLeavesIndexUnchanged(t *testing.T) {
 	}
 }
 
+// TestInsertPageWriteFailureLeavesIndexUnchanged: a page write that
+// fails while a new video's records go into the tree must fail Insert
+// with the pager's error and leave no trace of the video — not in the
+// catalog, not in the tree, not in any later ranking. The write that
+// fails is the second of the insert, so the first record is already in
+// the tree and has to be rolled back.
+func TestInsertPageWriteFailureLeavesIndexUnchanged(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	videos := make([][]vec.Vector, 10)
+	for i := range videos {
+		videos[i] = makeVideo(r, 8, 3, 30)
+	}
+	sums := summarizeAll(videos)
+	mem := pager.NewMem()
+	faulty := pager.NewFaulty(mem, 1)
+	ix, err := Build(sums, Options{Epsilon: testEps, NewPager: func() pager.Pager { return faulty }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenBefore, videosBefore := ix.Len(), ix.Videos()
+
+	const vid = 999
+	extra := makeVideo(r, 8, 3, 30)
+	s := core.Summarize(vid, extra, core.Options{Epsilon: testEps, Seed: 7})
+	if len(s.Triplets) < 2 {
+		t.Fatalf("new video has %d triplets, want at least 2", len(s.Triplets))
+	}
+	// Every write so far reached mem, so the next write the wrapper sees
+	// is number writes+1: let that one through and fail the one after.
+	writesBefore := mem.Stats().Writes
+	faulty.WriteFailEvery = int(writesBefore) + 2
+	if err := ix.Insert(s); !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("Insert over a failing page write returned %v, want %v", err, pager.ErrInjected)
+	}
+	// One write put the first record in, at least one more took it out.
+	if w := mem.Stats().Writes - writesBefore; w < 2 {
+		t.Fatalf("%d page writes reached the store; the failure did not land mid-insert", w)
+	}
+	if ix.Contains(vid) {
+		t.Fatal("failed insert left the video in the catalog")
+	}
+	if got := ix.Len(); got != lenBefore {
+		t.Fatalf("tree has %d records after failed insert, want %d", got, lenBefore)
+	}
+	if got := ix.Videos(); got != videosBefore {
+		t.Fatalf("catalog has %d videos after failed insert, want %d", got, videosBefore)
+	}
+	if err := ix.CheckTree(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range append([]core.Summary{s}, sums...) {
+		for _, mode := range []Mode{Naive, Composed} {
+			res, _, err := ix.Search(&q, len(sums)+1, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range res {
+				if m.VideoID == vid {
+					t.Fatalf("%v: query %d ranks the failed video: %+v", mode, q.VideoID, res)
+				}
+			}
+		}
+	}
+}
+
 // TestCorruptLeafRecordFailsQuery: a leaf record that no longer decodes
 // must fail the operation that met it. The scan callbacks used to answer a
 // decode error by stopping the scan and dropping the error, so Search
@@ -676,7 +742,7 @@ func TestCorruptLeafRecordFailsQuery(t *testing.T) {
 		page pager.Page
 		id   pager.PageID
 	)
-	for id = 1; ; id++ {
+	for id = 0; ; id++ {
 		if int(id) >= mem.NumPages() {
 			t.Fatal("no leaf page found")
 		}

@@ -12,23 +12,10 @@ type PageID uint32
 // Page is a fixture page buffer.
 type Page [64]byte
 
-// ScanStats counts page reads attributed to one scan.
-type ScanStats struct {
-	Reads uint64
-}
-
 // Pager is the fixture page store interface.
 type Pager interface {
 	Read(id PageID, p *Page) error
 	Close() error
-}
-
-// ReadTracked reads a page and attributes the read to st when non-nil.
-func ReadTracked(pg Pager, id PageID, p *Page, st *ScanStats) error {
-	if st != nil {
-		st.Reads++
-	}
-	return pg.Read(id, p)
 }
 
 // Store carries an exported mutex so the lockorder fixture can take a

@@ -41,11 +41,7 @@ func NewFaulty(under Pager, seed int64) *Faulty {
 func (f *Faulty) Alloc() (PageID, error) { return f.under.Alloc() }
 
 // Read implements Pager, possibly failing or corrupting the result.
-func (f *Faulty) Read(id PageID, p *Page) error { return f.ReadTracked(id, p, nil) }
-
-// ReadTracked implements TrackedReader, forwarding attribution to the
-// wrapped pager (which decides what counts as physical I/O).
-func (f *Faulty) ReadTracked(id PageID, p *Page, st *ScanStats) error {
+func (f *Faulty) Read(id PageID, p *Page) error {
 	f.mu.Lock()
 	f.reads++
 	fail := (f.ReadFailEvery > 0 && f.reads%f.ReadFailEvery == 0) ||
@@ -59,7 +55,7 @@ func (f *Faulty) ReadTracked(id PageID, p *Page, st *ScanStats) error {
 	if fail && !corrupt {
 		return ErrInjected
 	}
-	if err := ReadTracked(f.under, id, p, st); err != nil {
+	if err := f.under.Read(id, p); err != nil {
 		return err
 	}
 	if corrupt {
@@ -86,9 +82,6 @@ func (f *Faulty) NumPages() int { return f.under.NumPages() }
 
 // Stats implements Pager.
 func (f *Faulty) Stats() Stats { return f.under.Stats() }
-
-// ResetStats implements Pager.
-func (f *Faulty) ResetStats() { f.under.ResetStats() }
 
 // Close implements Pager.
 func (f *Faulty) Close() error { return f.under.Close() }

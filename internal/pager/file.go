@@ -100,13 +100,6 @@ func (fp *File) Stats() Stats {
 	return fp.stats
 }
 
-// ResetStats implements Pager.
-func (fp *File) ResetStats() {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	fp.stats = Stats{}
-}
-
 // Sync flushes the file to stable storage.
 func (fp *File) Sync() error {
 	fp.mu.Lock()

@@ -1,7 +1,8 @@
 // Package pager provides the 4 KiB page-storage substrate beneath the
-// B+-tree: an in-memory store, a file-backed store, an LRU buffer pool and
-// a fault-injection wrapper. Every implementation counts physical page
-// reads and writes, which is how the experiments report I/O cost (the
+// B+-tree: an in-memory store, a file-backed store and a fault-injection
+// wrapper. Every implementation counts the page reads and writes it
+// serves; the B+-tree additionally counts each node read into the
+// caller's ScanStats, which is how the experiments report I/O cost (the
 // paper's Sun E420 page accesses are reproduced as counts, not
 // milliseconds).
 package pager
@@ -41,34 +42,6 @@ type ScanStats struct {
 	Reads uint64
 }
 
-// Add folds another counter in (used when merging per-worker counters).
-func (s *ScanStats) Add(o ScanStats) { s.Reads += o.Reads }
-
-// TrackedReader is an optional Pager extension for per-operation I/O
-// attribution: ReadTracked behaves exactly like Read but additionally
-// adds the physical reads it performed to st (which may be nil). A
-// wrapper that can satisfy a read without physical I/O — the LRU Cache
-// on a hit — adds nothing.
-type TrackedReader interface {
-	ReadTracked(id PageID, p *Page, st *ScanStats) error
-}
-
-// ReadTracked reads page id from pg, attributing any physical read to st
-// (st may be nil). Pagers implementing TrackedReader decide what counts
-// as physical; for every other pager each Read is one physical read.
-func ReadTracked(pg Pager, id PageID, p *Page, st *ScanStats) error {
-	if tr, ok := pg.(TrackedReader); ok {
-		return tr.ReadTracked(id, p, st)
-	}
-	if err := pg.Read(id, p); err != nil {
-		return err
-	}
-	if st != nil {
-		st.Reads++
-	}
-	return nil
-}
-
 // Pager is the minimal page-store interface the B+-tree builds on.
 type Pager interface {
 	// Alloc reserves a new zeroed page and returns its ID.
@@ -81,8 +54,6 @@ type Pager interface {
 	NumPages() int
 	// Stats returns a snapshot of the physical I/O counters.
 	Stats() Stats
-	// ResetStats zeroes the I/O counters (between experiment runs).
-	ResetStats()
 	// Close releases underlying resources.
 	Close() error
 }
@@ -159,13 +130,6 @@ func (m *Mem) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// ResetStats implements Pager.
-func (m *Mem) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
 }
 
 // Close implements Pager.

@@ -25,8 +25,7 @@ func TestZeroConfigMatchesGodoc(t *testing.T) {
 		"RequestTimeout":     {c.RequestTimeout, time.Duration(0)}, // no deadline
 		"RetryAfter":         {c.RetryAfter, time.Second},
 		"MaxBodyBytes":       {c.MaxBodyBytes, int64(32 << 20)},
-		"CacheStats":         {c.CacheStats == nil, true}, // no cache field in /stats
-		"CheckpointEvery":    {c.CheckpointEvery, 0},      // no automatic checkpoints
+		"CheckpointEvery":    {c.CheckpointEvery, 0}, // no automatic checkpoints
 		"CheckpointCooldown": {c.CheckpointCooldown, 30 * time.Second},
 		"ErrorLog":           {c.ErrorLog, log.Default()},
 	}

@@ -28,9 +28,8 @@ import (
 // per-request attributions the clients saw — per-scan I/O attribution
 // composed all the way up through HTTP.
 func TestE2EConcurrentLoadAttribution(t *testing.T) {
-	newPager, cacheStats := CachedPager(func() pager.Pager { return pager.NewMem() }, 256)
-	db, videos := testCorpus(t, 24, vitri.Options{NewPager: newPager})
-	srv := New(db, Config{MaxInFlight: 128, RequestTimeout: time.Minute, CacheStats: cacheStats, ErrorLog: quietLog()})
+	db, videos := testCorpus(t, 24, vitri.Options{})
+	srv := New(db, Config{MaxInFlight: 128, RequestTimeout: time.Minute, ErrorLog: quietLog()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -100,9 +99,6 @@ func TestE2EConcurrentLoadAttribution(t *testing.T) {
 	}
 	if st.SearchPageReads != totalIO.Load() {
 		t.Fatalf("stats search_page_reads = %d, clients observed %d", st.SearchPageReads, totalIO.Load())
-	}
-	if st.Cache == nil || st.Cache.Accesses == 0 {
-		t.Fatalf("cache stats missing: %+v", st.Cache)
 	}
 	for _, ep := range []string{epSearch, epStats} {
 		if st.Endpoints[ep].Errors5xx != 0 {

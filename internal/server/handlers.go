@@ -344,12 +344,6 @@ type pagerStatsJSON struct {
 	Allocs uint64 `json:"allocs"`
 }
 
-type cacheStatsJSON struct {
-	Accesses uint64  `json:"accesses"`
-	Hits     uint64  `json:"hits"`
-	HitRate  float64 `json:"hit_rate"`
-}
-
 // durabilityStatsJSON surfaces the durable store's health: journal depth
 // and size, the fsync profile (group commit makes fsyncs < operations
 // under load), and the snapshot position.
@@ -404,7 +398,6 @@ type statsResponse struct {
 	TemporalSimilarityOps  uint64                       `json:"temporal_similarity_ops"`
 	TemporalSignatureSkips uint64                       `json:"temporal_signature_skips"`
 	Pager                  pagerStatsJSON               `json:"pager"`
-	Cache                  *cacheStatsJSON              `json:"cache,omitempty"`
 	Durability             *durabilityStatsJSON         `json:"durability,omitempty"`
 	Endpoints              map[string]endpointStatsJSON `json:"endpoints"`
 }
@@ -434,10 +427,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		TemporalSignatureSkips: s.met.temporalSignatureSkips.Value(),
 		Pager:                  pagerStatsJSON{Reads: ps.Reads, Writes: ps.Writes, Allocs: ps.Allocs},
 		Endpoints:              make(map[string]endpointStatsJSON, len(s.met.endpoints)),
-	}
-	if s.cfg.CacheStats != nil {
-		accesses, hits, rate := s.cfg.CacheStats()
-		resp.Cache = &cacheStatsJSON{Accesses: accesses, Hits: hits, HitRate: rate}
 	}
 	if ds := s.db.DurabilityStats(); ds.Enabled {
 		fl := ds.Journal.FsyncLatency

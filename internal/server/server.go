@@ -56,9 +56,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies (413 beyond it; 32 MiB when zero).
 	MaxBodyBytes int64
-	// CacheStats, when set, surfaces the page cache hit rate in /stats
-	// (see CachedPager); when nil /stats has no cache field.
-	CacheStats func() (accesses, hits uint64, rate float64)
 	// CheckpointEvery, on a durable database, folds the journal into a
 	// fresh snapshot whenever its depth reaches this many operations.
 	// The checkpoint runs detached from the triggering request (it joins
@@ -239,41 +236,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// CachedPager returns a NewPager function for vitri.Options that wraps
-// every store the database creates in an LRU page cache of the given
-// capacity, plus a stats function reporting the aggregate hit rate — the
-// /stats plumbing for a server whose DB is built with it. A database
-// creates one pager per tree build, and a sharded database one per shard
-// per build, so the stats sum over every cache created: the counters are
-// monotone across rebuilds and cover all shards.
-func CachedPager(newUnder func() pager.Pager, capacity int) (newPager func() pager.Pager, stats func() (accesses, hits uint64, rate float64)) {
-	var mu sync.Mutex
-	var caches []*pager.Cache
-	newPager = func() pager.Pager {
-		c := pager.NewCache(newUnder(), capacity)
-		mu.Lock()
-		caches = append(caches, c)
-		mu.Unlock()
-		return c
-	}
-	stats = func() (uint64, uint64, float64) {
-		mu.Lock()
-		all := append([]*pager.Cache(nil), caches...)
-		mu.Unlock()
-		var accesses, hits uint64
-		for _, c := range all {
-			a, h, _ := c.HitRate()
-			accesses += a
-			hits += h
-		}
-		if accesses == 0 {
-			return 0, 0, 0
-		}
-		return accesses, hits, float64(hits) / float64(accesses)
-	}
-	return newPager, stats
 }
 
 // Endpoint names (also the /stats keys).
