@@ -27,8 +27,7 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs the in-tree analyzer suite (see internal/lint and DESIGN.md
-# "Machine-checked invariants"); it exits nonzero on any unsuppressed
-# finding.
+# "Machine-checked invariants"); it exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/vitrilint ./...
 

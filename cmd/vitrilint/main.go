@@ -1,23 +1,22 @@
 // Command vitrilint runs this module's static-analysis suite: the
 // stdlib-only analyzers of internal/lint (lint.All; -h lists them),
-// which machine-check the invariants the concurrent engine depends on.
+// which machine-check the determinism and hot-path allocation invariants
+// the test suites cannot pin to a line.
 //
 // Usage:
 //
-//	vitrilint [package pattern ...]
+//	vitrilint [-stats] [package pattern ...]
 //
 // Patterns are module-relative ("./...", "./internal/...",
 // "./internal/btree"); the default is "./...". Diagnostics print as
 //
 //	file:line: [analyzer] message
 //
-// and the process exits 1 when any unsuppressed finding exists (2 on
-// load/type-check failure). Intentional violations are suppressed in
-// place with "//lint:ignore <analyzer> <reason>" on the flagged line or
-// the line above; the summary line counts them.
+// and the process exits 1 when any finding exists (2 on load/type-check
+// failure). There is no suppression directive.
 //
-// -stats prints a per-analyzer table (findings, suppressions, wall
-// time) plus the module-load and call-graph construction times.
+// -stats prints a per-analyzer table (findings, wall time) plus the
+// module load and type-check time.
 package main
 
 import (
@@ -31,7 +30,7 @@ import (
 )
 
 func main() {
-	stats := flag.Bool("stats", false, "print per-analyzer findings/suppressions/timings")
+	stats := flag.Bool("stats", false, "print per-analyzer findings and timings")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: vitrilint [-stats] [package pattern ...]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
@@ -63,8 +62,7 @@ func main() {
 		}
 		fmt.Printf("%s:%d: [%s] %s\n", rel, d.Pos.Line, d.Analyzer, d.Message)
 	}
-	fmt.Fprintf(os.Stderr, "vitrilint: %d packages, %d findings, %d suppressed\n",
-		res.Packages, len(res.Diagnostics), res.Suppressed)
+	fmt.Fprintf(os.Stderr, "vitrilint: %d packages, %d findings\n", res.Packages, len(res.Diagnostics))
 	if *stats {
 		printStats(res)
 	}
@@ -75,11 +73,11 @@ func main() {
 
 // printStats renders the per-analyzer summary table.
 func printStats(res *lint.Result) {
-	fmt.Fprintf(os.Stderr, "\n%-17s %9s %11s %9s\n", "analyzer", "findings", "suppressed", "ms")
+	fmt.Fprintf(os.Stderr, "\n%-11s %9s %9s\n", "analyzer", "findings", "ms")
 	for _, s := range res.Stats {
-		fmt.Fprintf(os.Stderr, "%-17s %9d %11d %9.1f\n", s.Name, s.Findings, s.Suppressed, s.Millis)
+		fmt.Fprintf(os.Stderr, "%-11s %9d %9.1f\n", s.Name, s.Findings, s.Millis)
 	}
-	fmt.Fprintf(os.Stderr, "load %.1fms, call graph %.1fms\n", res.LoadMillis, res.GraphMillis)
+	fmt.Fprintf(os.Stderr, "load %.1fms\n", res.LoadMillis)
 }
 
 func fatalf(format string, args ...interface{}) {

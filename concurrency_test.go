@@ -234,6 +234,26 @@ func TestConcurrentCheckpointStress(t *testing.T) {
 			}
 		}(g)
 	}
+	// Stats poller: the counters a checkpoint advances are read beside it,
+	// as /stats does, and the checkpointed seq never moves backwards.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seq := db.DurabilityStats().SnapshotSeq
+			if seq < last {
+				errCh <- fmt.Errorf("SnapshotSeq went back from %d to %d", last, seq)
+				return
+			}
+			last = seq
+		}
+	}()
 	// Checkpointer: back-to-back folds while all of the above runs.
 	checkpoints := 0
 	wg.Add(1)

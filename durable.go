@@ -129,7 +129,7 @@ func OpenDurable(dir string, opts Options) (*DB, error) {
 	}
 	st := &storeState{fs: fsys, dir: dir}
 	manPath := filepath.Join(dir, shard.ManifestFile)
-	//lint:ignore droppederr best-effort cleanup of a never-read temp file
+	// Best-effort cleanup of a never-read temp file.
 	fsys.Remove(manPath + ".tmp")
 	n := max(opts.Shards, 1)
 	man, merr := shard.ReadManifest(fsys, manPath)
@@ -171,7 +171,8 @@ func OpenDurable(dir string, opts Options) (*DB, error) {
 			err = e.checkRouting(i, n)
 		}
 		if err != nil {
-			//lint:ignore droppederr open failed; best-effort release of the shards already opened
+			// Best-effort release of the shards already opened; the open
+			// error is surfaced.
 			db.Close()
 			return nil, err
 		}
@@ -205,7 +206,6 @@ func openEngine(dir string, opts Options) (*engine, error) {
 	// A crash can leave stale temp files behind; they are dead weight
 	// (never read) and are cleared so a later checkpoint starts clean.
 	for _, stale := range []string{snapPath + ".tmp", walPath + ".tmp"} {
-		//lint:ignore droppederr best-effort cleanup of a never-read temp file
 		fsys.Remove(stale)
 	}
 
@@ -255,7 +255,8 @@ func openEngine(dir string, opts Options) (*engine, error) {
 			}
 		}
 	}
-	//lint:ignore lockorder open-time replay: the engine is unpublished, so no waiter exists for the journal's recovery fsync to stall
+	// The journal's recovery fsync runs under e.mu, but the engine is
+	// unpublished, so no reader can be waiting on it.
 	wal, err := journal.Open(fsys, walPath, journal.Config{
 		StartSeq:        lastSeq + 1,
 		KeepCorruptTail: keepCorruptTail,
@@ -342,9 +343,9 @@ func (e *engine) durable() bool {
 // services checkpoint periodically (vitriserve's -checkpoint-every).
 func (db *DB) Checkpoint() error {
 	// ckptMu is level 0 in the lock hierarchy: always acquired before
-	// viewMu and engine.mu, never while holding either (vitrilint's
-	// lockorder enforces this). Serializing here keeps the capture→rotate
-	// window of one checkpoint from interleaving with another's.
+	// viewMu and engine.mu, never while holding either. Serializing here
+	// keeps the capture→rotate window of one checkpoint from interleaving
+	// with another's.
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	caps := make([]*ckptCapture, len(db.shards))

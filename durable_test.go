@@ -328,7 +328,6 @@ func TestCloseRacesDurabilityAccess(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 50; i++ {
-				//lint:ignore droppederr Close may win the race at any point
 				db.AddSummary(crashSummary(base*1000 + i))
 				db.DurabilityStats()
 				db.Durable()
@@ -339,7 +338,6 @@ func TestCloseRacesDurabilityAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		//lint:ignore droppederr racing goroutines may have poisoned nothing; any close error is irrelevant here
 		db.Close()
 	}()
 	close(start)
@@ -492,6 +490,15 @@ func TestAddBatchPoisonedWriterShortCircuits(t *testing.T) {
 	}
 	if errors.Is(itemErrs[1], ErrDuplicateID) {
 		t.Fatal("duplicate item was applied against a poisoned writer — short-circuit missing")
+	}
+	// A single Add after the poisoning fails at its journal append, and
+	// the in-memory apply is rolled back: nothing unjournaled is served.
+	n := db.Len()
+	if err := db.Add(5, frames(5)); !errors.Is(err, journal.ErrPoisoned) {
+		t.Fatalf("Add on a poisoned writer: %v, want ErrPoisoned", err)
+	}
+	if got := db.Len(); got != n {
+		t.Fatalf("Len = %d after a failed Add, want %d: the unjournaled video was kept", got, n)
 	}
 }
 

@@ -112,7 +112,8 @@ func (e *engine) registerLocked(videoID int, ts *temporal.Signature) {
 // rollbackAddLocked undoes an addSummaryLocked whose journal append
 // failed. Caller holds the write lock.
 func (e *engine) rollbackAddLocked(videoID int) {
-	//lint:ignore droppederr rollback of an apply that just succeeded; the original journal error is surfaced
+	// Undoing an apply that just succeeded; the journal error that forced
+	// the rollback is what the caller sees.
 	e.removeLocked(videoID)
 }
 

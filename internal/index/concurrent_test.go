@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vitri/internal/core"
 	"vitri/internal/pager"
@@ -88,6 +91,28 @@ func TestSearchStatsExactUnderConcurrentSearches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSearchBatchBoundsConcurrency: however large the batch, the pool
+// runs at most GOMAXPROCS searches at once. One goroutine per query would
+// run every sleeping callback together.
+func TestSearchBatchBoundsConcurrency(t *testing.T) {
+	const n = 256
+	var inFlight, peak atomic.Int64
+	items := SearchBatch(n, func(int) BatchItem {
+		cur := inFlight.Add(1)
+		for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return BatchItem{}
+	})
+	if len(items) != n {
+		t.Fatalf("%d batch items for %d queries", len(items), n)
+	}
+	if got, limit := peak.Load(), int64(runtime.GOMAXPROCS(0)); got > limit {
+		t.Fatalf("%d searches ran at once, want at most GOMAXPROCS = %d", got, limit)
 	}
 }
 

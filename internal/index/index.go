@@ -366,7 +366,8 @@ func (ix *Index) Insert(s core.Summary) error {
 func (ix *Index) rollbackInsertLocked(vid int32, keys []float64) {
 	var rec Record
 	for _, key := range keys {
-		//lint:ignore droppederr best-effort rollback: the pager that failed the insert may fail the deletes too
+		// Best-effort: the pager that failed the insert may fail the
+		// deletes too.
 		_, _ = ix.tree.Delete(key, func(val []byte) bool {
 			return ix.decodeRec(val, &rec) == nil && rec.VideoID == vid
 		})
@@ -463,7 +464,7 @@ func (ix *Index) rebuildLocked() error {
 	}
 	old := ix.pg
 	ix.tr, ix.tree, ix.pg, ix.mom = tr, tree, pg, mom
-	//lint:ignore droppederr best-effort close of the replaced store; the new pager is already live
+	// Best-effort close of the replaced store; the new pager is already live.
 	old.Close()
 	return nil
 }

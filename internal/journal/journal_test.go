@@ -460,7 +460,8 @@ func (f *failAfterFile) Sync() error {
 
 // TestFsyncFailurePoisons verifies a failed Commit disables the writer:
 // no later append or commit can succeed, so nothing is ever acknowledged
-// on top of an unknowable durable prefix.
+// on top of an unknowable durable prefix. Each sticky-error return must
+// also release the writer's lock: Err and Close still answer afterwards.
 func TestFsyncFailurePoisons(t *testing.T) {
 	fsys := &failAfterFS{FS: vfs.NewMemFS(), remaining: 1} // one sync for Open's header
 	w, err := Open(fsys, "j.wal", Config{StartSeq: 1}, nil)
@@ -480,6 +481,21 @@ func TestFsyncFailurePoisons(t *testing.T) {
 	}
 	if err := w.Commit(seq); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("commit after failure: %v, want ErrPoisoned", err)
+	}
+	done := make(chan error, 2)
+	go func() {
+		done <- w.Err()
+		done <- w.Close()
+	}()
+	for _, name := range []string{"Err", "Close"} {
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrPoisoned) {
+				t.Fatalf("%s on a poisoned writer: %v, want ErrPoisoned", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s hung on a poisoned writer: a sticky-error return kept the writer's lock", name)
+		}
 	}
 }
 

@@ -382,7 +382,8 @@ func (w *Writer) rotateLocked(startSeq uint64, suffix []byte, retained int) erro
 	// weight a recovery scan has to step around.
 	abort := func(err error) error {
 		tf.Close()
-		//lint:ignore droppederr best-effort cleanup of a never-read temp file; the original error is surfaced
+		// Best-effort cleanup of a never-read temp file; the original error
+		// is surfaced.
 		w.fsys.Remove(tmp)
 		return err
 	}
@@ -398,12 +399,12 @@ func (w *Writer) rotateLocked(startSeq uint64, suffix []byte, retained int) erro
 		return abort(err)
 	}
 	if err := tf.Close(); err != nil {
-		//lint:ignore droppederr best-effort cleanup of a never-read temp file; the close error is surfaced
+		// Best-effort cleanup; the close error is surfaced.
 		w.fsys.Remove(tmp)
 		return err
 	}
 	if err := w.fsys.Rename(tmp, w.path); err != nil {
-		//lint:ignore droppederr best-effort cleanup of a never-read temp file; the rename error is surfaced
+		// Best-effort cleanup; the rename error is surfaced.
 		w.fsys.Remove(tmp)
 		return err
 	}

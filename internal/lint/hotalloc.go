@@ -14,8 +14,8 @@ import (
 // helpers — Add, Sub, Scale, Clone — inside any loop in a package named
 // vec or cluster, where every loop is (or feeds) the hot path. The fix is
 // the in-place counterpart (AddInPlace, AXPY, ScaleInPlace, copy into a
-// scratch row); genuinely cold loops are suppressed in place with
-// //lint:ignore hotalloc <reason>.
+// scratch row). There is no suppression: a cold loop uses the in-place
+// form too.
 //
 // Other packages are out of scope: a per-call allocation in a cmd or an
 // experiment is not worth an annotation.
@@ -78,7 +78,7 @@ func runHotAlloc(pass *Pass) {
 				return true // a method that shares a helper's name is not the helper
 			}
 			pass.Reportf(call.Pos(),
-				"vec.%s allocates on every iteration of a hot-path loop; use %s or suppress with //lint:ignore hotalloc <reason>",
+				"vec.%s allocates on every iteration of a hot-path loop; use %s",
 				callee.Name(), fix)
 			return true
 		})

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -18,18 +17,15 @@ import (
 
 // Package is one parsed and type-checked package of the loaded module.
 type Package struct {
-	// Dir is the absolute directory; RelDir the module-relative one
-	// ("" for the module root).
-	Dir    string
+	// RelDir is the module-relative directory ("" for the module root).
 	RelDir string
 	// Path is the import path, Name the package name.
 	Path string
 	Name string
 
-	Files     []*ast.File
-	FileNames []string
-	Pkg       *types.Package
-	Info      *types.Info
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 
 	imports []string // module-internal import paths
 }
@@ -105,7 +101,7 @@ func LoadModule(root string) (*Module, error) {
 }
 
 // discoverAndParse finds every directory holding non-test Go files and
-// parses them (with comments, for //lint:ignore directives).
+// parses them.
 func (m *Module) discoverAndParse() error {
 	err := filepath.WalkDir(m.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -162,7 +158,7 @@ func (m *Module) parseDir(dir string) error {
 	if rel == "." {
 		rel = ""
 	}
-	pkg := &Package{Dir: dir, RelDir: filepath.ToSlash(rel)}
+	pkg := &Package{RelDir: filepath.ToSlash(rel)}
 	pkg.Path = m.Path
 	if pkg.RelDir != "" {
 		pkg.Path = m.Path + "/" + pkg.RelDir
@@ -170,7 +166,7 @@ func (m *Module) parseDir(dir string) error {
 	internal := make(map[string]bool)
 	for _, n := range names {
 		file := filepath.Join(dir, n)
-		f, err := parser.ParseFile(m.Fset, file, nil, parser.ParseComments)
+		f, err := parser.ParseFile(m.Fset, file, nil, 0)
 		if err != nil {
 			return fmt.Errorf("lint: %w", err)
 		}
@@ -180,7 +176,6 @@ func (m *Module) parseDir(dir string) error {
 			return fmt.Errorf("lint: %s: package %s and %s in one directory", dir, pkg.Name, f.Name.Name)
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.FileNames = append(pkg.FileNames, file)
 		for _, imp := range f.Imports {
 			ip, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -278,12 +273,9 @@ func (m *Module) typeCheck(order []*Package) error {
 			Error:    func(err error) { typeErrs = append(typeErrs, err) },
 		}
 		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
 		}
 		tpkg, err := conf.Check(pkg.Path, m.Fset, pkg.Files, info)
 		if len(typeErrs) > 0 {
@@ -332,6 +324,3 @@ func (pkg *Package) Match(patterns []string) bool {
 	}
 	return false
 }
-
-// ErrFindings is returned by Run when unsuppressed diagnostics exist.
-var ErrFindings = errors.New("lint: findings reported")

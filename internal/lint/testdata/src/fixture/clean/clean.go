@@ -3,24 +3,15 @@
 // false positive.
 package clean
 
-import (
-	"sort"
-	"sync"
+import "sort"
 
-	"fixture/pager"
-)
-
-// Catalog pairs a mutex with the ordered-fold idiom.
+// Catalog holds per-video scores.
 type Catalog struct {
-	mu     sync.RWMutex
-	pg     pager.Pager
 	scores map[int]float64
 }
 
-// Total folds the score map in sorted key order under a read lock.
+// Total folds the score map in sorted key order.
 func (c *Catalog) Total() float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	keys := make([]int, 0, len(c.scores))
 	for k := range c.scores {
 		keys = append(keys, k)
@@ -31,13 +22,6 @@ func (c *Catalog) Total() float64 {
 		total += c.scores[k]
 	}
 	return total
-}
-
-// Close releases the store, propagating its error.
-func (c *Catalog) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pg.Close()
 }
 
 // Add allocates a combined score vector. It shares its name with the vec

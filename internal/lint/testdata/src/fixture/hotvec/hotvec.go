@@ -65,14 +65,3 @@ func CentroidInPlace(points []Vector) Vector {
 	}
 	return Scale(sum, 1/float64(len(points)))
 }
-
-// SnapshotCold keeps a deliberate per-iteration copy, suppressed with a
-// reason: the loop runs once per run, not per Lloyd iteration.
-func SnapshotCold(points []Vector) []Vector {
-	out := make([]Vector, 0, len(points))
-	for _, p := range points {
-		//lint:ignore hotalloc diagnostics snapshot runs once per build
-		out = append(out, Clone(p))
-	}
-	return out
-}

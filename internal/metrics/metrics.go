@@ -112,7 +112,7 @@ func (t *Table) Fprint(w io.Writer) error {
 // String renders the table to a string.
 func (t *Table) String() string {
 	var b strings.Builder
-	//lint:ignore droppederr strings.Builder writes never fail
+	// strings.Builder writes never fail.
 	t.Fprint(&b)
 	return b.String()
 }

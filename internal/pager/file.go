@@ -107,7 +107,8 @@ func (fp *File) Sync() error {
 	if fp.closed {
 		return ErrClosed
 	}
-	//lint:ignore lockorder Sync IS this pager's flush primitive: the mutex orders it against concurrent writes, and callers sync off the hot path
+	// The mutex orders this flush against concurrent writes; callers sync
+	// off the hot path.
 	return fp.f.Sync()
 }
 

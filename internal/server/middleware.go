@@ -116,7 +116,7 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// An encode failure here means the client is gone; there is no one
-	// left to tell (stdlib callee, so not a droppederr target).
+	// left to tell.
 	_ = json.NewEncoder(w).Encode(v)
 }
 

@@ -17,7 +17,7 @@
 //
 // The server holds no locks of its own around DB calls — it always enters
 // the DB → Index → Tree → pager hierarchy from the top via exported DB
-// methods, which is what keeps vitrilint's lockorder analyzer happy.
+// methods, so it can never invert the database's lock order.
 package server
 
 import (

@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vitri"
+	"vitri/internal/vfs"
 )
 
 // synthVideo makes a video of a few gaussian shots. Shot centers are
@@ -397,35 +402,159 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// gatedSnapshotFS, once armed, parks every Sync of a snapshot temp file
+// until gate closes, and signals parked when the first one arrives: a
+// checkpoint held mid-write while journal commits go through.
+type gatedSnapshotFS struct {
+	vfs.FS
+	armed  atomic.Bool
+	gate   chan struct{}
+	parked chan struct{}
+}
+
+func (g *gatedSnapshotFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, "snapshot.vitri.tmp") {
+		return f, err
+	}
+	return &gatedSnapshotFile{File: f, fs: g}, nil
+}
+
+type gatedSnapshotFile struct {
+	vfs.File
+	fs *gatedSnapshotFS
+}
+
+func (f *gatedSnapshotFile) Sync() error {
+	if f.fs.armed.Load() {
+		select {
+		case f.fs.parked <- struct{}{}:
+		default:
+		}
+		<-f.fs.gate
+	}
+	return f.File.Sync()
+}
+
+// TestRequestTimeout: a timed-out search answers 504, and graceful Close
+// drains everything the server left running — the search its handler
+// abandoned and an automatic checkpoint parked in its snapshot fsync.
+// Each order of release checks that Close waits for the one still in
+// flight: a Close whose context expires first leaves the store open, an
+// unbounded one returns only after it. Afterwards every goroutine the
+// server started has exited.
 func TestRequestTimeout(t *testing.T) {
-	db, videos := testCorpus(t, 4, vitri.Options{})
-	srv := New(db, Config{RequestTimeout: 50 * time.Millisecond, ErrorLog: quietLog()})
-	release := make(chan struct{})
-	srv.testHookWork = func() { <-release }
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name         string
+		searchFirst  bool
+		stillRunning string
+	}{
+		{"checkpoint finishes first", false, "the abandoned search"},
+		{"search finishes first", true, "the automatic checkpoint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := &gatedSnapshotFS{FS: vfs.NewMemFS(), gate: make(chan struct{}), parked: make(chan struct{}, 1)}
+			db, err := vitri.OpenDurable("db", vitri.Options{Epsilon: 0.3, Seed: 1, Durable: &vitri.DurableOptions{FS: fsys}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(77))
+			videos := make([][]vitri.Vector, 4)
+			for i := range videos {
+				videos[i] = synthVideo(r, 8, 2, 15, 0.2, 0.8)
+				if err := db.Add(i, videos[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fsys.armed.Store(true)
+			goroutines := runtime.NumGoroutine()
 
-	resp := postJSON(t, ts.URL+"/search", map[string]interface{}{"frames": framesJSON(videos[0])})
-	var e errorResponse
-	decodeBody(t, resp, &e)
-	if resp.StatusCode != http.StatusGatewayTimeout || e.Error == "" {
-		t.Fatalf("timed-out request: status %d, error %q", resp.StatusCode, e.Error)
-	}
-	if got := srv.met.timeouts.Value(); got != 1 {
-		t.Fatalf("timeouts counter = %d", got)
-	}
+			srv := New(db, Config{RequestTimeout: 50 * time.Millisecond, CheckpointEvery: 1, ErrorLog: quietLog()})
+			release := make(chan struct{})
+			var parkedWork atomic.Bool
+			srv.testHookWork = func() {
+				// Only the first request's work (the search) parks.
+				if parkedWork.CompareAndSwap(false, true) {
+					<-release
+				}
+			}
+			releaseSearch := sync.OnceFunc(func() { close(release) })
+			releaseCheckpoint := sync.OnceFunc(func() { close(fsys.gate) })
+			defer releaseCheckpoint()
+			defer releaseSearch()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	// Graceful close must wait for the abandoned search, then succeed.
-	closed := make(chan error, 1)
-	go func() { closed <- srv.Close(context.Background()) }()
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned before abandoned work finished: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	close(release)
-	if err := <-closed; err != nil {
-		t.Fatalf("close: %v", err)
+			resp := postJSON(t, ts.URL+"/search", map[string]interface{}{"frames": framesJSON(videos[0])})
+			var e errorResponse
+			decodeBody(t, resp, &e)
+			if resp.StatusCode != http.StatusGatewayTimeout || e.Error == "" {
+				t.Fatalf("timed-out request: status %d, error %q", resp.StatusCode, e.Error)
+			}
+			if got := srv.met.timeouts.Value(); got != 1 {
+				t.Fatalf("timeouts counter = %d", got)
+			}
+
+			// The insert crosses CheckpointEvery; its detached checkpoint
+			// parks in the snapshot fsync.
+			resp = postJSON(t, ts.URL+"/insert", insertRequest{ID: 4, Frames: framesJSON(synthVideo(r, 8, 2, 15, 0.2, 0.8))})
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("insert: status %d", resp.StatusCode)
+			}
+			select {
+			case <-fsys.parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("automatic checkpoint never reached its snapshot fsync")
+			}
+
+			if tc.searchFirst {
+				releaseSearch()
+			} else {
+				releaseCheckpoint()
+			}
+			// With one of them still running, a Close whose context
+			// expires gives up and leaves the store open.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close(ctx) }()
+			select {
+			case err := <-closed:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("Close with %s still running: %v, want its context's deadline", tc.stillRunning, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Close ignored its deadline while %s was still running", tc.stillRunning)
+			}
+			if !db.DurabilityStats().Enabled {
+				t.Fatalf("an interrupted Close closed the store under %s", tc.stillRunning)
+			}
+
+			go func() { closed <- srv.Close(context.Background()) }()
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned while %s was still running: %v", tc.stillRunning, err)
+			case <-time.After(30 * time.Millisecond):
+			}
+			releaseSearch()
+			releaseCheckpoint()
+			if err := <-closed; err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if got := db.DurabilityStats(); got.Enabled {
+				t.Fatalf("database still durable after Close: %+v", got)
+			}
+
+			ts.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > goroutines {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 5s after Close, %d before the server started", runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -66,7 +66,7 @@ func WriteFileAtomicGated(fsys vfs.FS, path string, gate SyncGate, write func(io
 	defer func() {
 		if err != nil {
 			f.Close()
-			//lint:ignore droppederr cleanup on the error path; the original error is what matters
+			// Best-effort cleanup; the original error is surfaced.
 			fsys.Remove(tmp)
 		}
 	}()

@@ -2,7 +2,9 @@ package storefmt
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -189,6 +191,25 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// failSyncFS fails every file Sync.
+type failSyncFS struct{ vfs.FS }
+
+func (f failSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return failSyncFile{file}, nil
+}
+
+type failSyncFile struct{ vfs.File }
+
+func (failSyncFile) Sync() error { return errors.New("injected fsync failure") }
+
+// TestWriteFileAtomic: a snapshot round-trips through the filesystem
+// with no temp file left behind, and one whose fsync fails is never
+// renamed into place — the write reports the failure, the previous
+// snapshot stays readable, and the temp file is removed.
 func TestWriteFileAtomic(t *testing.T) {
 	fsys := vfs.NewMemFS()
 	snap := testSnapshot()
@@ -210,5 +231,20 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if _, err := ReadSnapshotFile(fsys, "dir/absent"); !IsNotExist(err) {
 		t.Fatalf("missing file: err = %v, want IsNotExist", err)
+	}
+
+	next := testSnapshot()
+	next.Summaries = next.Summaries[:1]
+	if err := WriteSnapshotFile(failSyncFS{fsys}, "dir/store.vitri", next); err == nil {
+		t.Fatal("WriteSnapshotFile succeeded although its fsync failed")
+	}
+	if got, err = ReadSnapshotFile(fsys, "dir/store.vitri"); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Summaries, snap.Summaries) {
+		t.Fatal("an unsynced snapshot replaced the previous one")
+	}
+	if names := fsys.Names(); len(names) != 1 {
+		t.Fatalf("files after a failed write: %q, want only dir/store.vitri", names)
 	}
 }

@@ -109,11 +109,11 @@ type Options struct {
 	// Mutations route by a stable hash of the video id; searches scatter
 	// across every shard and merge the per-shard top-k. Results are
 	// byte-identical at every shard count (see shard_equiv_test.go); what
-	// changes is contention: shards multiply index, cache and fsync
-	// bandwidth. 0 means 1: the same router over a single engine, whose
-	// durable store is the flat snapshot + journal directory of earlier
-	// versions (the one shard's directory is the store root, and a store
-	// of one has no manifest). A durable store's shard count is fixed at
+	// changes is contention: shards multiply index and fsync bandwidth.
+	// 0 means 1: the same router over a single engine, whose durable
+	// store is the flat snapshot + journal directory of earlier versions
+	// (the one shard's directory is the store root, and a store of one
+	// has no manifest). A durable store's shard count is fixed at
 	// creation — recorded in its manifest when above 1 — and later opens
 	// must pass the same value or 0 to adopt it.
 	Shards int
@@ -130,11 +130,10 @@ type Options struct {
 // is the one-element case of the same paths, not a separate shape.
 type DB struct {
 	// ckptMu serializes checkpoints. It is level 0, the top of the lock
-	// hierarchy (checkpoint → shard-view → engine → Index → Tree → pager,
-	// enforced by vitrilint's lockorder): Checkpoint acquires ckptMu
-	// first and then takes viewMu and the engines' mu only for its short
-	// capture/finish critical sections — never acquire ckptMu while
-	// holding either.
+	// hierarchy (checkpoint → shard-view → engine → Index → Tree → pager):
+	// Checkpoint acquires ckptMu first and then takes viewMu and the
+	// engines' mu only for its short capture/finish critical sections —
+	// never acquire ckptMu while holding either.
 	ckptMu sync.Mutex
 	// viewMu (level 1) makes cross-shard reads consistent. Its roles are
 	// inverted from the usual convention: mutations hold it SHARED for
@@ -143,7 +142,8 @@ type DB struct {
 	// cross-shard snapshot readers (Len, Triplets, DriftAngle, Stats,
 	// Save) and the checkpoint capture hold it EXCLUSIVELY, so they
 	// observe every batch fully applied or not at all — never a batch
-	// torn across shards. Never held across an fsync.
+	// torn across shards. Never held across an fsync
+	// (TestFsyncDoesNotBlockReaders).
 	viewMu sync.RWMutex
 	opts   Options // immutable after New
 	// shards holds the engines, at least one. A video lives in
